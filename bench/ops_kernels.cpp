@@ -3,8 +3,9 @@
 // workloads taken from the paper's model zoo, single-threaded and with the
 // intra-op parallel hook over runtime::ThreadPool.
 //
-// Every fast-kernel output is verified bitwise against the reference before
-// timing, so a speedup here is by construction lossless.
+// Every fast-kernel output, single-threaded and parallel, is verified bitwise
+// against the reference before timing, so a speedup here is by construction
+// lossless.
 //
 // Emits BENCH_ops.json (machine-readable, one record per workload plus a
 // summary with the geometric-mean conv speedup) so the perf trajectory of the
@@ -127,7 +128,7 @@ struct Result {
 Tensor run_kernel(const Workload& wl, const Tensor& in, const LayerWeights& w,
                   const d3::exec::OpContext& ctx) {
   if (wl.kind == "conv") return d3::exec::conv2d(in, wl.spec, w, ctx);
-  if (wl.kind == "fc") return d3::exec::fully_connected(in, wl.spec, w);
+  if (wl.kind == "fc") return d3::exec::fully_connected(in, wl.spec, w, ctx);
   return d3::exec::pool2d(in, wl.spec);
 }
 
@@ -181,15 +182,18 @@ int main(int argc, char** argv) {
       r.macs = static_cast<std::int64_t>(wl.spec.window.kernel_h) * wl.spec.window.kernel_w *
                out.elements();
 
+    const d3::exec::OpContext par_ctx{nullptr, &parallel};
     const Tensor want = run_reference(wl, in, w);
-    const Tensor got = run_kernel(wl, in, w, {});
-    r.bitwise_equal = got.shape() == want.shape() &&
-                      std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0;
+    const auto matches = [&](const Tensor& got) {
+      return got.shape() == want.shape() &&
+             std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0;
+    };
+    r.bitwise_equal =
+        matches(run_kernel(wl, in, w, {})) && matches(run_kernel(wl, in, w, par_ctx));
 
     r.ref_s = time_best([&] { run_reference(wl, in, w); }, 0.3);
     r.fast_s = time_best([&] { run_kernel(wl, in, w, {}); }, 0.3);
-    r.par_s = time_best(
-        [&] { run_kernel(wl, in, w, d3::exec::OpContext{nullptr, &parallel}); }, 0.3);
+    r.par_s = time_best([&] { run_kernel(wl, in, w, par_ctx); }, 0.3);
     results.push_back(r);
 
     std::cout << std::left << std::setw(20) << wl.name << std::right << std::fixed

@@ -12,6 +12,7 @@
 
 #include "core/vsm.h"
 #include "dnn/tensor.h"
+#include "exec/ops.h"
 #include "exec/weights.h"
 
 namespace d3::core {
@@ -30,18 +31,25 @@ exec::Tile extract_tile_input(const dnn::Tensor& stack_input, const FusedTilePla
                               std::size_t tile_index);
 
 // Runs the whole stack for one tile, returning its slice of ck's output.
+// `ctx` reaches the conv kernels: with an intra-op parallel_for their GEMMs
+// split into disjoint output blocks, bitwise-identical to the serial call.
 exec::Tile run_single_tile(const dnn::Network& net, const exec::WeightStore& weights,
                            const exec::Tile& input, const FusedTilePlan& plan,
-                           std::size_t tile_index);
+                           std::size_t tile_index, const exec::OpContext& ctx = {});
 
 // Scatter + per-tile execution + gather: the full output feature map of ck.
 // `stack_input` must match the stack's first-layer input shape. When
 // `parallel_for` is non-empty the per-tile stacks run under it (each tile
 // writes only its own slot, so any schedule is race-free); the gathered result
 // is bitwise-identical either way because assembly is always in tile order.
+// `ctx` is forwarded to every tile's run_single_tile; its parallel_for may
+// share a pool with `parallel_for` (a nested call helps drain the queue), but
+// its arena must stay null when tiles run concurrently (an Arena is not
+// thread-safe; null means each thread's own arena).
 dnn::Tensor run_fused_tiles(const dnn::Network& net, const exec::WeightStore& weights,
                             const dnn::Tensor& stack_input, const FusedTilePlan& plan,
-                            const TileParallelFor& parallel_for = {});
+                            const TileParallelFor& parallel_for = {},
+                            const exec::OpContext& ctx = {});
 
 // Serial reference: the same stack run on the whole input (no tiling).
 dnn::Tensor run_stack_serial(const dnn::Network& net, const exec::WeightStore& weights,

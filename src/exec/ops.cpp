@@ -451,6 +451,45 @@ dnn::Shape window_output_shape(const dnn::Tensor& input, const dnn::LayerSpec& s
   return infer_output_shape(spec, {input.shape()});
 }
 
+// Output rows [o0, o1) of the blocked GEMV: four output rows share each
+// streamed pass over the input, so the input vector is loaded once per block
+// instead of once per output. Each output keeps its own ascending-index
+// accumulation chain (bitwise-identical to the reference row loop).
+void fc_rows(const dnn::Tensor& input, const LayerWeights& w, std::size_t o0, std::size_t o1,
+             dnn::Tensor& out) {
+  const std::size_t in_n = input.size();
+  const float* weights = w.weights.data();
+  const float* x = input.data();
+  std::size_t o = o0;
+  for (; o + 4 <= o1; o += 4) {
+    const float* r0 = weights + o * in_n;
+    const float* r1 = r0 + in_n;
+    const float* r2 = r1 + in_n;
+    const float* r3 = r2 + in_n;
+    float a0 = w.bias[o];
+    float a1 = w.bias[o + 1];
+    float a2 = w.bias[o + 2];
+    float a3 = w.bias[o + 3];
+    for (std::size_t i = 0; i < in_n; ++i) {
+      const float v = x[i];
+      a0 += r0[i] * v;
+      a1 += r1[i] * v;
+      a2 += r2[i] * v;
+      a3 += r3[i] * v;
+    }
+    out[o] = a0;
+    out[o + 1] = a1;
+    out[o + 2] = a2;
+    out[o + 3] = a3;
+  }
+  for (; o < o1; ++o) {
+    const float* row = weights + o * in_n;
+    float acc = w.bias[o];
+    for (std::size_t i = 0; i < in_n; ++i) acc += row[i] * x[i];
+    out[o] = acc;
+  }
+}
+
 }  // namespace
 
 dnn::Tensor conv2d(const dnn::Tensor& input, const dnn::LayerSpec& spec, const LayerWeights& w,
@@ -481,46 +520,30 @@ dnn::Tensor global_avg_pool(const dnn::Tensor& input) {
 }
 
 dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec,
-                            const LayerWeights& w) {
+                            const LayerWeights& w, const OpContext& ctx) {
   require(spec.kind == dnn::LayerKind::kFullyConnected, "fully_connected: bad spec");
   const std::size_t in_n = input.size();
   const std::size_t out_n = static_cast<std::size_t>(spec.out_features);
   require(w.weights.size() == in_n * out_n, "fully_connected: weight size mismatch");
   require(w.bias.size() == out_n, "fully_connected: bias size mismatch");
   dnn::Tensor out(dnn::Shape{spec.out_features, 1, 1});
-  const float* weights = w.weights.data();
-  const float* x = input.data();
-  // Blocked GEMV: four output rows share each streamed pass over the input, so
-  // the input vector is loaded once per block instead of once per output. Each
-  // output keeps its own ascending-index accumulation chain (bitwise-identical
-  // to the reference row loop).
-  std::size_t o = 0;
-  for (; o + 4 <= out_n; o += 4) {
-    const float* r0 = weights + o * in_n;
-    const float* r1 = r0 + in_n;
-    const float* r2 = r1 + in_n;
-    const float* r3 = r2 + in_n;
-    float a0 = w.bias[o];
-    float a1 = w.bias[o + 1];
-    float a2 = w.bias[o + 2];
-    float a3 = w.bias[o + 3];
-    for (std::size_t i = 0; i < in_n; ++i) {
-      const float v = x[i];
-      a0 += r0[i] * v;
-      a1 += r1[i] * v;
-      a2 += r2[i] * v;
-      a3 += r3[i] * v;
-    }
-    out[o] = a0;
-    out[o + 1] = a1;
-    out[o + 2] = a2;
-    out[o + 3] = a3;
-  }
-  for (; o < out_n; ++o) {
-    const float* row = weights + o * in_n;
-    float acc = w.bias[o];
-    for (std::size_t i = 0; i < in_n; ++i) acc += row[i] * x[i];
-    out[o] = acc;
+  // Tasks are disjoint runs of whole 4-row blocks, so any parallel schedule
+  // produces the same bits as the serial loop.
+  const std::int64_t macs = static_cast<std::int64_t>(in_n * out_n);
+  const bool par =
+      ctx.parallel_for && *ctx.parallel_for && macs >= kParallelMacThreshold;
+  const std::size_t blocks = (out_n + 3) / 4;
+  const std::size_t task_blocks = par ? (blocks + 15) / 16 : blocks;  // <= 16 tasks
+  const std::size_t task_rows = task_blocks * 4;
+  const std::size_t n_tasks = (out_n + task_rows - 1) / task_rows;
+  const auto run_rows = [&](std::size_t task) {
+    const std::size_t o0 = task * task_rows;
+    fc_rows(input, w, o0, std::min(out_n, o0 + task_rows), out);
+  };
+  if (par && n_tasks > 1) {
+    (*ctx.parallel_for)(n_tasks, run_rows);
+  } else {
+    for (std::size_t i = 0; i < n_tasks; ++i) run_rows(i);
   }
   return out;
 }

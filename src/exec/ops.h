@@ -115,7 +115,7 @@ dnn::Tensor conv2d(const dnn::Tensor& input, const dnn::LayerSpec& spec,
 dnn::Tensor pool2d(const dnn::Tensor& input, const dnn::LayerSpec& spec);
 dnn::Tensor global_avg_pool(const dnn::Tensor& input);
 dnn::Tensor fully_connected(const dnn::Tensor& input, const dnn::LayerSpec& spec,
-                            const LayerWeights& w);
+                            const LayerWeights& w, const OpContext& ctx = {});
 dnn::Tensor relu(const dnn::Tensor& input);
 dnn::Tensor batch_norm(const dnn::Tensor& input, const LayerWeights& w);
 // Move-aware overloads: operate in place on the argument's storage instead of

@@ -50,6 +50,9 @@ class NodeService {
   // epoch is below the worker-wide maximum is answered kFenced before any
   // state mutation.
   NodeService() = default;
+  // The kernel hook holds `this`.
+  NodeService(const NodeService&) = delete;
+  NodeService& operator=(const NodeService&) = delete;
 
   // Borrowed connection (--connect mode): the caller owns the fd.
   void attach_coordinator(int fd) {
@@ -153,7 +156,7 @@ class NodeService {
     plan_hash_ = fnv1a(bundle.plan_bytes);
     weights_hash_ = bundle.weights_hash;
     vsm_workers_ = bundle.vsm_workers;
-    make_pool(bundle.vsm_workers);
+    pool_.reset();  // rebuilt at this configuration's width on first use
   }
 
   // Accepts one dialled peer channel: the first frame must be kPeerHello with
@@ -334,23 +337,29 @@ class NodeService {
     plan_hash_ = plan_hash;
     weights_hash_ = weights_hash;
     vsm_workers_ = vsm_workers;
-    make_pool(vsm_workers);
+    pool_.reset();  // rebuilt at this configuration's width on first use
     requests_.clear();
     return ok();
   }
 
-  void make_pool(std::uint32_t vsm_workers) {
-    if (vsm_workers > 0) {
-      pool_ = std::make_unique<runtime::ThreadPool>(vsm_workers);
-      tile_parallel_ = [pool = pool_.get()](std::size_t n,
-                                            const std::function<void(std::size_t)>& body) {
-        pool->parallel_for(n, body);
-      };
-    } else {
-      pool_.reset();
-      tile_parallel_ = {};
-    }
+  // The configuration's one pool, at least as wide as the host: every conv
+  // and FC kernel (run_layer, run_tile, run_stack) splits its GEMM across it
+  // into disjoint output blocks, each accumulated in reference order, so
+  // outputs stay bitwise-identical. run_stack's tile lanes share it only when
+  // the plan asked for them (vsm_workers > 0); a tile's nested kernel
+  // parallel_for on the same pool is safe because callers help drain it.
+  // The threads start on the first call, so a worker whose kernels never
+  // reach the parallelism threshold never spawns them. Only the serve thread
+  // makes that first call (every other caller is a job already running on
+  // the pool), so the lazy build needs no lock.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
+    if (!pool_)
+      pool_ = std::make_unique<runtime::ThreadPool>(
+          std::max<std::size_t>(vsm_workers_, runtime::ThreadPool::hardware_threads()));
+    pool_->parallel_for(n, body);
   }
+
+  exec::OpContext op_context() const { return exec::OpContext{nullptr, &op_parallel_}; }
 
   void require_configured() const {
     if (!net_) throw WireError("node: not configured");
@@ -440,7 +449,7 @@ class NodeService {
     ins.reserve(net_->layer(layer).inputs.size());
     for (const dnn::LayerId in : net_->layer(layer).inputs)
       ins.push_back(&slot_tensor(req, in == dnn::kNetworkInput ? 0 : in + 1));
-    req.slots[layer + 1] = exec::run_layer(*net_, weights_, layer, ins);
+    req.slots[layer + 1] = exec::run_layer(*net_, weights_, layer, ins, op_context());
     return ok();
   }
 
@@ -454,11 +463,14 @@ class NodeService {
     const dnn::LayerId in_id = net_->layer(vsm.stack.front()).inputs[0];
     const dnn::Tensor& stack_input =
         slot_tensor(req, in_id == dnn::kNetworkInput ? 0 : in_id + 1);
-    // Scatter, per-tile fused execution (across this node's own worker pool)
-    // and tile-order gather, all inside this process: intra-edge traffic never
-    // touches the coordinator, exactly like the paper's edge cluster.
+    // Scatter, per-tile fused execution (across this node's own worker pool
+    // when the plan asked for tile lanes) and tile-order gather, all inside
+    // this process: intra-edge traffic never touches the coordinator, exactly
+    // like the paper's edge cluster.
+    const core::TileParallelFor serial_tiles;
     req.slots[vsm.stack.back() + 1] =
-        core::run_fused_tiles(*net_, weights_, stack_input, vsm, tile_parallel_);
+        core::run_fused_tiles(*net_, weights_, stack_input, vsm,
+                              vsm_workers_ > 0 ? op_parallel_ : serial_tiles, op_context());
     return ok();
   }
 
@@ -634,7 +646,7 @@ class NodeService {
     input.full_w = vsm.input_shapes.front().w;
     input.full_h = vsm.input_shapes.front().h;
     req.tile_out[tile] =
-        core::run_single_tile(*net_, weights_, input, vsm, tile).data;
+        core::run_single_tile(*net_, weights_, input, vsm, tile, op_context()).data;
     return ok();
   }
 
@@ -678,8 +690,12 @@ class NodeService {
   std::optional<dnn::Network> net_;
   exec::WeightStore weights_;
   std::optional<core::SerializablePlan> plan_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  core::TileParallelFor tile_parallel_;
+  std::unique_ptr<runtime::ThreadPool> pool_;  // null until first parallel_for
+  // The intra-op hook every kernel gets (over parallel_for above).
+  const exec::ParallelFor op_parallel_ =
+      [this](std::size_t n, const std::function<void(std::size_t)>& body) {
+        parallel_for(n, body);
+      };
   std::map<std::uint64_t, RequestSlots> requests_;
   Socket peer_listener_;
   std::uint16_t peer_port_ = 0;

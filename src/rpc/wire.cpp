@@ -55,6 +55,9 @@ void WireWriter::f32_array(std::span<const float> values) {
 }
 
 void WireWriter::f32_raw(const float* values, std::size_t count) {
+  // An empty array (a weightless layer's) may hand over a null pointer, and
+  // copying from null is undefined even for zero bytes.
+  if (count == 0) return;
   if constexpr (kLittleEndianHost) {
     const auto* raw = reinterpret_cast<const std::uint8_t*>(values);
     buf_.insert(buf_.end(), raw, raw + count * sizeof(float));
@@ -123,6 +126,9 @@ std::vector<float> WireReader::f32_array() {
 }
 
 void WireReader::f32_raw(float* out, std::size_t count) {
+  // An empty vector's data() may be null: memcpy to it is undefined even for
+  // zero bytes.
+  if (count == 0) return;
   const std::uint8_t* p = need(count * sizeof(float), "float payload");
   if constexpr (kLittleEndianHost) {
     std::memcpy(out, p, count * sizeof(float));

@@ -81,9 +81,8 @@ std::size_t ServingReactor::submit(const dnn::Tensor& input, const SubmitOptions
         ticket->error = std::make_exception_ptr(RequestShed(
             id, "predicted completion " + std::to_string(predicted) + "s > deadline " +
                     std::to_string(ticket->deadline_seconds) + "s"));
-        ticket->done = true;
+        retire_locked(*ticket);
         tickets_.push_back(std::move(ticket));
-        ++finished_;
         ++counters_.shed;
         refused_someone = true;
       }
@@ -98,8 +97,7 @@ std::size_t ServingReactor::submit(const dnn::Tensor& input, const SubmitOptions
         waiting_.pop_front();
         Ticket& old = *tickets_[victim];
         old.error = std::make_exception_ptr(RequestDropped(victim));
-        old.done = true;
-        ++finished_;
+        retire_locked(old);
         ++counters_.dropped;
         refused_someone = true;
       }
@@ -143,8 +141,7 @@ void ServingReactor::shed_all_locked() {
       ticket.cont.reset();
       finish_locked(id, ticket, now);
     } else {
-      ticket.done = true;
-      ++finished_;
+      retire_locked(ticket);
     }
     ++counters_.shutdown_shed;
   };
@@ -208,8 +205,7 @@ void ServingReactor::expire_waiting_locked(Clock::time_point now) {
     if (ticket.deadline_at && now >= *ticket.deadline_at) {
       ticket.error = std::make_exception_ptr(
           RequestShed(*it, "deadline expired before admission"));
-      ticket.done = true;
-      ++finished_;
+      retire_locked(ticket);
       ++counters_.expired;
       it = waiting_.erase(it);
       done_cv_.notify_all();
@@ -239,9 +235,16 @@ int ServingReactor::idle_timeout_ms_locked(Clock::time_point now) const {
   return ms < 0 ? 0 : static_cast<int>(ms) + 1;  // +1: land past the deadline, not on it
 }
 
-void ServingReactor::finish_locked(std::size_t id, Ticket& ticket, Clock::time_point now) {
+void ServingReactor::retire_locked(Ticket& ticket) {
   ticket.done = true;
   ++finished_;
+  // Replays and late admission read the input only before this point; a
+  // finished ticket releasing it keeps a long run from holding every input.
+  ticket.input = dnn::Tensor{};
+}
+
+void ServingReactor::finish_locked(std::size_t id, Ticket& ticket, Clock::time_point now) {
+  retire_locked(ticket);
   --inflight_;
   if (!ticket.error) {
     ++counters_.completed;
@@ -508,6 +511,13 @@ ServingReactor::Stats ServingReactor::stats() const {
   Stats s = counters_;
   s.submitted = tickets_.size();
   return s;
+}
+
+std::size_t ServingReactor::retained_input_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t bytes = 0;
+  for (const auto& ticket : tickets_) bytes += ticket->input.size() * sizeof(float);
+  return bytes;
 }
 
 std::vector<double> ServingReactor::latencies_seconds() const {

@@ -169,12 +169,17 @@ class ServingReactor {
   std::vector<double> latencies_seconds() const;
   // Request ids in completion order (priority tests read this).
   std::vector<std::size_t> completion_order() const;
+  // Bytes of request input the reactor still holds: only tickets that have
+  // not finished keep theirs.
+  std::size_t retained_input_bytes() const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
   struct Ticket {
-    dnn::Tensor input;  // retained: replays and late admission both restart from it
+    // Held until the ticket finishes: replays and late admission both restart
+    // from it. Released at every terminal transition (retire_locked).
+    dnn::Tensor input;
     int priority = 0;
     double deadline_seconds = 0.0;
     Clock::time_point submitted_at;
@@ -201,7 +206,12 @@ class ServingReactor {
   // Milliseconds until the earliest waiting deadline (-1 = none: sleep until
   // signalled). Lock held.
   int idle_timeout_ms_locked(Clock::time_point now) const;
-  // Marks `ticket` finished and does the completion bookkeeping. Lock held.
+  // Marks `ticket` done, counts it finished and releases its input: the one
+  // terminal transition every outcome (done, shed, expired, failed, shutdown)
+  // goes through. Lock held.
+  void retire_locked(Ticket& ticket);
+  // retire_locked for an admitted ticket, plus the completion bookkeeping.
+  // Lock held.
   void finish_locked(std::size_t id, Ticket& ticket, Clock::time_point now);
   // Moves a parked ticket back into its priority bucket, dropping its fd
   // registrations (refcounted — an fd leaves the epoll set only when its last

@@ -209,6 +209,37 @@ TEST(OpsKernels, FullyConnectedMatchesReferenceBitwise) {
   }
 }
 
+TEST(OpsKernels, FullyConnectedOnPoolMatchesReferenceBitwise) {
+  // Shapes at or above the kernels' parallelism threshold (2^20 MACs): the
+  // GEMV's 4-row blocks are split across the pool. Row counts cover one
+  // partial block, whole blocks and a ragged tail.
+  runtime::ThreadPool pool(4);
+  std::size_t dispatches = 0;  // counted on the calling thread
+  const ParallelFor parallel = [&](std::size_t n,
+                                   const std::function<void(std::size_t)>& body) {
+    ++dispatches;
+    pool.parallel_for(n, body);
+  };
+  const OpContext ctx{nullptr, &parallel};
+  util::Rng rng(21);
+  for (const auto& [out_n, in_n] : {std::pair{3, 1 << 19}, std::pair{513, 2048},
+                                   std::pair{1024, 1024}, std::pair{1027, 1536}}) {
+    Tensor in = random_tensor(Shape{in_n, 1, 1}, rng);
+    const LayerSpec spec = LayerSpec::fully_connected("f", out_n);
+    LayerWeights w;
+    w.weights.resize(static_cast<std::size_t>(out_n) * in_n);
+    for (auto& x : w.weights) x = static_cast<float>(rng.uniform(-1, 1));
+    w.bias.resize(static_cast<std::size_t>(out_n));
+    for (auto& x : w.bias) x = static_cast<float>(rng.uniform(-1, 1));
+    dispatches = 0;
+    expect_bitwise(fully_connected(in, spec, w, ctx), reference::fully_connected(in, spec, w),
+                   "pooled fc " + std::to_string(out_n) + "x" + std::to_string(in_n));
+    // A single 4-row block has nothing to split; every larger shape must
+    // actually reach the pool.
+    EXPECT_EQ(dispatches, out_n > 4 ? 1u : 0u) << out_n << "x" << in_n;
+  }
+}
+
 TEST(OpsKernels, FullyConnectedValidatesBiasSize) {
   Tensor in(Shape{3, 1, 1});
   const LayerSpec spec = LayerSpec::fully_connected("f", 2);

@@ -193,9 +193,11 @@ TEST(RpcWire, WeightsRoundTripBitwise) {
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 99);
   const exec::WeightStore back = decode_weights(encode_weights(weights, net), net);
   ASSERT_EQ(back.size(), weights.size());
+  std::size_t weightless = 0;  // layers that ship empty weight/bias arrays
   for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
     const exec::LayerWeights& a = weights.layer(id);
     const exec::LayerWeights& b = back.layer(id);
+    if (a.weights.empty() && a.bias.empty()) ++weightless;
     ASSERT_EQ(a.weights.size(), b.weights.size());
     for (std::size_t i = 0; i < a.weights.size(); ++i)
       EXPECT_EQ(std::bit_cast<std::uint32_t>(a.weights[i]),
@@ -204,6 +206,24 @@ TEST(RpcWire, WeightsRoundTripBitwise) {
     EXPECT_EQ(a.bn_scale, b.bn_scale);
     EXPECT_EQ(a.bn_shift, b.bn_shift);
   }
+  EXPECT_GT(weightless, 0u);  // the empty-array path ran
+}
+
+// Empty float arrays carry a null data() pointer on both sides of the codec;
+// the raw copy must not touch it (memcpy with a null pointer is undefined even
+// for zero bytes — the UBSan CI job turns a regression into a failure).
+TEST(RpcWire, EmptyFloatArraysRoundTrip) {
+  WireWriter w;
+  w.f32_array(std::vector<float>{});
+  w.f32_raw(nullptr, 0);
+  w.f32_array(std::vector<float>{1.5f});
+  EXPECT_EQ(w.buffer().size(), 8u + 8u + 4u);  // count 0, count 1, one float
+
+  WireReader r(w.buffer());
+  EXPECT_TRUE(r.f32_array().empty());
+  r.f32_raw(nullptr, 0);
+  EXPECT_EQ(r.f32_array(), std::vector<float>{1.5f});
+  r.expect_end("empty arrays");
 }
 
 TEST(RpcWire, WeightsRejectWrongNetworkAndTruncation) {

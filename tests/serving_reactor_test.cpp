@@ -211,6 +211,8 @@ TEST(ServingReactorEquivalence, EndToEndReplayAfterUnrecoverableDeath) {
   expect_identical(result.output, f.reference);
   expect_same_transcript(result, reference);
   EXPECT_EQ(reactor.stats().replayed, 1u);
+  // The replay restarted from the retained input; once finished, it is gone.
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);
 }
 
 // --- Serving policies -------------------------------------------------------
@@ -251,6 +253,8 @@ TEST(ServingReactorPolicy, DropOldestAdmissionIsDeterministicWhilePaused) {
 
   std::vector<std::size_t> ids;
   for (int i = 0; i < 4; ++i) ids.push_back(reactor.submit(f.input));
+  // Dropped tickets released their input; only the survivor still holds one.
+  EXPECT_EQ(reactor.retained_input_bytes(), f.input.size() * sizeof(float));
   reactor.resume();
 
   // Each submission evicted its predecessor from the depth-1 queue: ids 0-2
@@ -263,6 +267,7 @@ TEST(ServingReactorPolicy, DropOldestAdmissionIsDeterministicWhilePaused) {
   EXPECT_EQ(stats.dropped, 3u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);  // every finished ticket let go
 }
 
 TEST(ServingReactorPolicy, PredictiveSheddingRefusesDoomedRequests) {
@@ -290,6 +295,7 @@ TEST(ServingReactorPolicy, PredictiveSheddingRefusesDoomedRequests) {
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.steps, 4u);  // only the free request's four stages ran
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);
 }
 
 TEST(ServingReactorPolicy, DeadlineExpiresWhileWaitingPaused) {
@@ -305,7 +311,25 @@ TEST(ServingReactorPolicy, DeadlineExpiresWhileWaitingPaused) {
   // deadline — no resume() needed for the expiry itself.
   EXPECT_THROW(reactor.wait(id), RequestShed);
   EXPECT_EQ(reactor.stats().expired, 1u);
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);
   reactor.resume();
+}
+
+// A ticket holds its input only until it finishes, so a long serving run does
+// not keep every request's input alive (the policy tests above check the
+// dropped, shed, expired and shutdown paths).
+TEST(ServingReactorPolicy, CompletedTicketsReleaseTheirInput) {
+  Fixture f(dnn::zoo::tiny_chain());
+  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net));
+  ServingReactor::Options options;
+  options.start_paused = true;  // nothing admitted yet: every input retained
+  ServingReactor reactor(engine, options);
+  std::vector<std::size_t> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(reactor.submit(f.input));
+  EXPECT_EQ(reactor.retained_input_bytes(), 3 * f.input.size() * sizeof(float));
+  reactor.resume();
+  for (const std::size_t id : ids) expect_identical(reactor.wait(id).output, f.reference);
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);
 }
 
 // --- Deterministic shutdown ---------------------------------------------------
@@ -339,6 +363,7 @@ TEST(ServingReactorShutdown, ShedsWaitingRequestsWithDistinctReasonExactlyOnce) 
   EXPECT_EQ(stats.shutdown_shed, 4u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.expired, 0u);  // shutdown sheds are not deadline expiries
+  EXPECT_EQ(reactor.retained_input_bytes(), 0u);
   EXPECT_THROW(reactor.submit(f.input), std::logic_error);
   reactor.shutdown();  // idempotent: every ticket is already finished
 }

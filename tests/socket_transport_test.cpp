@@ -239,6 +239,44 @@ TEST(SocketTransport, BranchNetWithDeferredConsumerAcrossProcesses) {
   EXPECT_EQ(distributed.device_cloud_bytes, local.device_cloud_bytes);
 }
 
+TEST(SocketTransport, WorkerPoolRunsGridModuleLayersBitwise) {
+  // The Inception grid module's 1x1/1x3/3x1 convs (1536 input channels) are
+  // far above the kernels' parallelism threshold, so every kRunLayer on the
+  // edge and cloud workers splits its GEMM across the worker's intra-op pool.
+  // A zoo model: workers resolve the model by name. Outputs must stay
+  // bitwise-identical to exec::Executor and the transcript byte-identical to
+  // the in-process engine.
+  const dnn::Network net = dnn::zoo::grid_module();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 61);
+  util::Rng rng(62);
+
+  // relu + avg-pool on the device, the Z2..Z4 convs on the edge, the Z5 convs
+  // and the filter concat in the cloud.
+  core::Assignment assignment;
+  assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+  assignment.tier[0] = core::Tier::kDevice;
+  for (const dnn::LayerId id : {0, 1})
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+  for (dnn::LayerId id = 2; id <= 9; ++id)
+    assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kEdge;
+  const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
+
+  Cluster cluster(net, weights, plan, 0);
+  OnlineEngine::Options options;
+  options.transport = cluster.transport;
+  const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
+  const OnlineEngine local(net, weights, assignment);
+  const exec::Executor executor(net, weights);
+
+  for (int i = 0; i < 2; ++i) {
+    const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+    const InferenceResult distributed = engine.infer(frame);
+    expect_identical(distributed.output, executor.run(frame));
+    expect_same_transcript(distributed, local.infer(frame));
+  }
+  EXPECT_GT(cluster.transport->stats().payload_bytes_fetched, 0u);
+}
+
 TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 41);

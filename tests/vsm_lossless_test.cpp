@@ -3,6 +3,7 @@
 // RTC, tiled and serial execution perform identical float operations — so these
 // tests assert bitwise equality, not approximate closeness, across a
 // parameterised sweep of stack shapes, windows and tile grids.
+#include <atomic>
 #include <numeric>
 #include <tuple>
 
@@ -12,6 +13,7 @@
 #include "core/vsm_executor.h"
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace d3::core {
@@ -193,6 +195,45 @@ TEST(VsmExecutor, SingleTileMatchesItsRegion) {
         for (int x = r.x0; x < r.x1; ++x)
           ASSERT_EQ(out.data.at(c, y - r.y0, x - r.x0), serial.at(c, y, x));
   }
+}
+
+TEST(VsmExecutor, IntraOpPoolIsBitwiseIdenticalToSerial) {
+  // Every tile's convs sit above the kernels' parallelism threshold, so with
+  // an OpContext their GEMMs split across the pool — as on a d3_node worker,
+  // where the tile lanes and the kernels share one pool (nested parallel_for).
+  const dnn::Network net = dnn::zoo::conv_stack(
+      "pooled", Shape{16, 24, 24},
+      {{64, Window{3, 3, 1, 1, 1, 1}}, {96, Window{3, 3, 1, 1, 1, 1}}});
+  const auto ids = all_layers(net);
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 53);
+  util::Rng rng(54);
+  const dnn::Tensor input = exec::random_tensor(net.input_shape(), rng);
+  const FusedTilePlan plan = make_fused_tile_plan(net, ids, 2, 2);
+
+  runtime::ThreadPool pool(4);
+  std::atomic<std::size_t> dispatches{0};
+  const exec::ParallelFor parallel = [&](std::size_t n,
+                                         const std::function<void(std::size_t)>& body) {
+    ++dispatches;
+    pool.parallel_for(n, body);
+  };
+  const exec::OpContext ctx{nullptr, &parallel};
+
+  for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
+    const exec::Tile in = extract_tile_input(input, plan, t);
+    const exec::Tile serial = run_single_tile(net, weights, in, plan, t);
+    const exec::Tile pooled = run_single_tile(net, weights, in, plan, t, ctx);
+    expect_bitwise_equal(pooled.data, serial.data);
+    EXPECT_EQ(pooled.origin_x, serial.origin_x);
+    EXPECT_EQ(pooled.origin_y, serial.origin_y);
+  }
+  EXPECT_GE(dispatches.load(), plan.num_tiles() * 2);  // both convs, every tile
+
+  const dnn::Tensor serial = run_fused_tiles(net, weights, input, plan);
+  expect_bitwise_equal(run_fused_tiles(net, weights, input, plan, {}, ctx), serial);
+  // Tile lanes on the same pool as the kernels: nested, still bitwise.
+  expect_bitwise_equal(run_fused_tiles(net, weights, input, plan, parallel, ctx), serial);
+  expect_bitwise_equal(serial, run_stack_serial(net, weights, input, ids));
 }
 
 TEST(VsmExecutor, RejectsWrongInputShape) {
