@@ -163,7 +163,8 @@ void encode_frame(std::vector<std::uint8_t>& out, MsgKind kind,
 void write_bytes(int fd, std::span<const std::uint8_t> bytes);
 
 // Reads one frame. Throws SocketError on any malformation, including EOF
-// mid-frame.
+// mid-frame. The body buffer grows with the bytes received, never ahead of
+// them to the declared length.
 Frame read_frame(int fd);
 
 // Like read_frame, but a clean EOF before the first byte returns false —

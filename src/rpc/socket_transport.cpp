@@ -19,6 +19,14 @@ std::int64_t now_ms() {
       .count();
 }
 
+// The blocking verbs are their issue_* twins awaited: blocks until `op`
+// completes and rethrows its failure.
+Transport::OpHandle await(Transport::OpHandle op) {
+  op.wait();
+  op.rethrow();
+  return op;
+}
+
 }  // namespace
 
 void SocketTransport::add_node(const std::string& node, Socket socket) {
@@ -525,18 +533,13 @@ void SocketTransport::connect_peers() {
 }
 
 std::uint64_t SocketTransport::open_request() {
-  const std::uint64_t id = next_request_.fetch_add(1);
+  std::vector<OpHandle> ops;
+  const std::uint64_t id = issue_open_request(ops);
   try {
-    for (auto& [name, node] : nodes_) {
-      if (node->detached.load(std::memory_order_acquire)) continue;
-      WireWriter w;
-      w.u64(id);
-      call(*node, MsgKind::kBegin, w.buffer());
-    }
+    for (const OpHandle& op : ops) await(op);
   } catch (...) {
-    // The caller never learns this id: free the slot state on every node that
-    // already began it (kEnd on an unknown id is a no-op), so a death during
-    // open cannot leak per-request state in long-lived workers.
+    // Same leak guard as at issue, for a node that failed its kBegin; the
+    // kBegin replies still owed settle ahead of the kEnd (per-channel FIFO).
     close_request(id);
     throw;
   }
@@ -553,8 +556,10 @@ std::uint64_t SocketTransport::issue_open_request(std::vector<OpHandle>& ops) {
       ops.push_back(issue_call(*node, MsgKind::kBegin, w.buffer()));
     }
   } catch (...) {
-    // Same leak guard as the blocking form. Outstanding kBegin handles the
-    // caller already holds settle ahead of the kEnd (per-channel FIFO).
+    // The caller never learns this id: free the slot state on every node that
+    // already began it (kEnd on an unknown id is a no-op), so a death during
+    // open cannot leak per-request state in long-lived workers. Outstanding
+    // kBegin handles settle ahead of the kEnd (per-channel FIFO).
     close_request(id);
     throw;
   }
@@ -631,42 +636,20 @@ std::size_t SocketTransport::prune_tile_workers() {
   return pruned;
 }
 
-std::uint64_t SocketTransport::put(std::uint64_t request, Node& node,
-                                   const runtime::MessageRecord& meta, std::uint64_t slot,
-                                   const dnn::Tensor& tensor) {
-  WireWriter w;
-  w.u64(request);
-  w.u64(slot);
-  const Envelope env{meta, encode_tensor(tensor)};
-  payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
-  encode_envelope(w, env);
-  call(node, MsgKind::kPut, w.buffer());
-  return env.payload.size();
-}
-
+// The blocking verbs below return early for nodes hosted in-process: the base
+// issue_* forms they fall back to dispatch to them again.
 void SocketTransport::seed(std::uint64_t request, const std::string& node_name,
                            std::uint64_t slot, const dnn::Tensor& tensor) {
-  Node* node = find(node_name);
-  if (!node) return;  // node hosted in-process: the coordinator already has it
-  runtime::MessageRecord meta;
-  meta.from_node = node_name;
-  meta.to_node = node_name;
-  meta.payload = "seed";
-  put(request, *node, meta, slot, tensor);
+  if (!find(node_name)) return;  // node hosted in-process: the coordinator already has it
+  await(issue_seed(request, node_name, slot, tensor));
 }
 
 std::optional<dnn::Tensor> SocketTransport::send(std::uint64_t request,
                                                  const runtime::MessageRecord& meta,
                                                  std::uint64_t slot,
                                                  const dnn::Tensor& tensor) {
-  Node* node = find(meta.to_node);
-  if (!node || slot == kNoSlot) return std::nullopt;  // destination hosted in-process
-  const std::uint64_t bytes = put(request, *node, meta, slot, tensor);
-  // The producer is itself a remote node, so the coordinator just moved bytes
-  // it neither produced nor consumes: that is the star topology's relay tax.
-  if (find(meta.from_node) != nullptr)
-    relay_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  replicate(request, meta, slot, tensor);
+  if (!find(meta.to_node) || slot == kNoSlot) return std::nullopt;  // hosted in-process
+  await(issue_send(request, meta, slot, tensor));
   return std::nullopt;
 }
 
@@ -781,35 +764,35 @@ bool SocketTransport::replica_push(std::uint64_t request, const runtime::Message
 
 bool SocketTransport::run_layer(std::uint64_t request, const std::string& node_name,
                                 dnn::LayerId layer) {
-  Node* node = find(node_name);
-  if (!node) return false;
-  WireWriter w;
-  w.u64(request);
-  w.u64(layer);
-  call(*node, MsgKind::kRunLayer, w.buffer());
+  OpHandle op = issue_run_layer(request, node_name, layer);
+  if (!op) return false;
+  await(std::move(op));
   return true;
 }
 
 bool SocketTransport::run_stack(std::uint64_t request, const std::string& node_name) {
-  Node* node = find(node_name);
-  if (!node) return false;
-  WireWriter w;
-  w.u64(request);
-  call(*node, MsgKind::kRunStack, w.buffer());
+  OpHandle op = issue_run_stack(request, node_name);
+  if (!op) return false;
+  await(std::move(op));
   return true;
 }
 
 dnn::Tensor SocketTransport::fetch(std::uint64_t request, const std::string& node_name,
                                    std::uint64_t slot) {
-  Node* node = find(node_name);
-  if (!node)
-    throw TransportError("fetch: node '" + node_name + "' is not attached");
+  return std::move(*await(issue_fetch(request, node_name, slot)).tensor());
+}
+
+Transport::OpHandle SocketTransport::issue_put(std::uint64_t request, Node& node,
+                                               const runtime::MessageRecord& meta,
+                                               std::uint64_t slot, const dnn::Tensor& tensor) {
   WireWriter w;
   w.u64(request);
   w.u64(slot);
-  const Frame reply = call(*node, MsgKind::kGet, w.buffer(), MsgKind::kTensor);
-  payload_bytes_fetched_.fetch_add(reply.body.size(), std::memory_order_relaxed);
-  return decode_tensor(std::span<const std::uint8_t>(reply.body));
+  const Envelope env{meta, encode_tensor(tensor)};
+  payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
+  encode_envelope(w, env);
+  return issue_call(node, MsgKind::kPut, w.buffer(), MsgKind::kOk, /*is_fetch=*/false,
+                    env.payload.size());
 }
 
 Transport::OpHandle SocketTransport::issue_seed(std::uint64_t request,
@@ -822,14 +805,7 @@ Transport::OpHandle SocketTransport::issue_seed(std::uint64_t request,
   meta.from_node = node_name;
   meta.to_node = node_name;
   meta.payload = "seed";
-  WireWriter w;
-  w.u64(request);
-  w.u64(slot);
-  const Envelope env{meta, encode_tensor(tensor)};
-  payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
-  encode_envelope(w, env);
-  return issue_call(*node, MsgKind::kPut, w.buffer(), MsgKind::kOk, /*is_fetch=*/false,
-                    env.payload.size());
+  return issue_put(request, *node, meta, slot, tensor);
 }
 
 Transport::OpHandle SocketTransport::issue_send(std::uint64_t request,
@@ -837,16 +813,11 @@ Transport::OpHandle SocketTransport::issue_send(std::uint64_t request,
                                                 std::uint64_t slot, const dnn::Tensor& tensor) {
   Node* node = find(meta.to_node);
   if (!node || slot == kNoSlot) return Transport::issue_send(request, meta, slot, tensor);
-  WireWriter w;
-  w.u64(request);
-  w.u64(slot);
-  const Envelope env{meta, encode_tensor(tensor)};
-  payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
-  encode_envelope(w, env);
-  OpHandle handle = issue_call(*node, MsgKind::kPut, w.buffer(), MsgKind::kOk,
-                               /*is_fetch=*/false, env.payload.size());
+  OpHandle handle = issue_put(request, *node, meta, slot, tensor);
+  // The producer is itself a remote node, so the coordinator just moved bytes
+  // it neither produced nor consumes: that is the star topology's relay tax.
   if (find(meta.from_node) != nullptr)
-    relay_bytes_.fetch_add(env.payload.size(), std::memory_order_relaxed);
+    relay_bytes_.fetch_add(handle.bytes(), std::memory_order_relaxed);
   // Buddy replication stays synchronous and best-effort: it rides the buddy's
   // own channel, so it cannot serialize behind this node's pending queue.
   replicate(request, meta, slot, tensor);

@@ -218,6 +218,8 @@ class SocketTransport final : public Transport {
   // with a resumed one.
   void open_request_as(std::uint64_t request) override;
   void close_request(std::uint64_t request) noexcept override;
+  // open_request, seed, send, run_layer, run_stack and fetch are their issue_*
+  // twins below, awaited: one frame encoding per verb.
   void seed(std::uint64_t request, const std::string& node, std::uint64_t slot,
             const dnn::Tensor& tensor) override;
   std::optional<dnn::Tensor> send(std::uint64_t request, const runtime::MessageRecord& meta,
@@ -377,8 +379,9 @@ class SocketTransport final : public Transport {
   // Channel-death recovery: re-establish under bounded backoff (reconnect fn +
   // kConfig replay), then throw TransportError for the interrupted call.
   [[noreturn]] void recover_locked(Node& node, const std::string& error);
-  std::uint64_t put(std::uint64_t request, Node& node, const runtime::MessageRecord& meta,
-                    std::uint64_t slot, const dnn::Tensor& tensor);
+  // Issues one kPut of `tensor` into `slot` on `node` (seeds and sends).
+  OpHandle issue_put(std::uint64_t request, Node& node, const runtime::MessageRecord& meta,
+                     std::uint64_t slot, const dnn::Tensor& tensor);
   // One peer handshake: kPeerListen on `to`, kConnectPeer on `from`.
   void link_peers(Node& from, Node& to);
   std::string advertised_address(const Node& to) const;

@@ -181,10 +181,11 @@ class Transport {
   // The blocking verbs above are round-trips: the caller's thread idles for
   // the full wire wait. The issue_* forms split each verb into an *issue*
   // (request written — or queued for a pipelined flush — and an OpHandle
-  // returned) and a *completion* (the handle polled or waited on), so an
-  // event-driven caller (OnlineEngine::step_async under ServingReactor
-  // readiness dispatch) can park a request on its outstanding handles and
-  // keep every other channel busy meanwhile.
+  // returned) and a *completion* (the handle polled or waited on). The
+  // engine's tier walk issues a whole tier's verbs this way; a blocking
+  // caller then waits on the handles, while an event-driven one
+  // (OnlineEngine::step_async under ServingReactor readiness dispatch) parks
+  // the request on them and keeps every other channel busy meanwhile.
   //
   // Contract:
   //   * An *invalid* (default-constructed) handle means the verb was not
@@ -203,10 +204,15 @@ class Transport {
   //     whatever op is at the front of its queue, so blocking and issued
   //     calls interleave safely on one channel.
   //
-  // The base implementations run the blocking verb immediately and return an
-  // already-completed handle, so InProcessTransport, SerializingLoopback and
-  // decorators (FaultInjectionTransport) keep their exact semantics — the
-  // engine's async walk degenerates to the blocking walk on them.
+  // The base implementations run the blocking verb immediately (dispatched
+  // through `this`) and return an already-completed handle, so
+  // InProcessTransport, SerializingLoopback and decorators that override only
+  // the blocking verbs (FaultInjectionTransport, bench/e2e's TimedTransport)
+  // keep their exact semantics and see every op the engine issues: its one
+  // tier walk settles each op at issue there, as a plain sequence of
+  // blocking calls. A transport with a real async path (SocketTransport)
+  // implements each verb once, as its issue_* form, and the blocking verb
+  // awaits it.
 
   // One outstanding issued operation. Completion state is owned by the
   // transport; the handle is a shared view.

@@ -234,33 +234,48 @@ const dnn::Tensor* OnlineEngine::resolve_input(RequestState& state, dnn::LayerId
   return producer == dnn::kNetworkInput ? state.input : &materialize(state, producer);
 }
 
-const dnn::Tensor& OnlineEngine::materialize(RequestState& state, dnn::LayerId id) const {
+rpc::Transport::OpHandle OnlineEngine::fetch_output(RequestState& state,
+                                                    dnn::LayerId id) const {
   dnn::Tensor& out = state.outputs[id];
   // Empty = computed on a remote node and never needed at the coordinator
   // until now: pull it from the node hosting the layer's tier.
-  if (out.size() == 0) {
-    const core::Tier at = assignment_.tier[dnn::Network::vertex_of(id)];
-    try {
-      out = transport_->fetch(state.rpc_request, node_of(at), id + 1);
-    } catch (const rpc::ChannelDied&) {
-      throw;  // a dead worker slot is a recovery problem, not a cache miss
-    } catch (const rpc::Fenced&) {
-      throw;
-    } catch (const rpc::TransportError&) {
-      // In-process transports hold no per-node slots: a restored request's
-      // pre-crash outputs died with the old engine and cannot be fetched.
-      // Recompute deterministically from what the snapshot preserved — the
-      // recursion through resolve_input() bottoms out at state.input, and no
-      // message is recorded, so the transcript stays a pure function of the
-      // plan.
-      std::vector<const dnn::Tensor*> ins;
-      ins.reserve(net_.layer(id).inputs.size());
-      for (const dnn::LayerId in : net_.layer(id).inputs)
-        ins.push_back(resolve_input(state, in, at));
-      out = exec::run_layer(net_, weights_, id, ins, op_context());
-    }
+  if (out.size() != 0) return {};
+  const core::Tier at = assignment_.tier[dnn::Network::vertex_of(id)];
+  rpc::Transport::OpHandle op;
+  try {
+    op = transport_->issue_fetch(state.rpc_request, node_of(at), id + 1);
+  } catch (const rpc::ChannelDied&) {
+    throw;  // a dead worker slot is a recovery problem, not a cache miss
+  } catch (const rpc::Fenced&) {
+    throw;
+  } catch (const rpc::TransportError&) {
+    // In-process transports hold no per-node slots: a restored request's
+    // pre-crash outputs died with the old engine and cannot be fetched.
+    // Recompute deterministically from what the snapshot preserved — the
+    // recursion through resolve_input() bottoms out at state.input, and no
+    // message is recorded, so the transcript stays a pure function of the
+    // plan.
+    std::vector<const dnn::Tensor*> ins;
+    ins.reserve(net_.layer(id).inputs.size());
+    for (const dnn::LayerId in : net_.layer(id).inputs)
+      ins.push_back(resolve_input(state, in, at));
+    out = exec::run_layer(net_, weights_, id, ins, op_context());
+    return {};
   }
-  return out;
+  if (!op.settled()) return op;
+  op.poll();
+  op.rethrow();
+  out = std::move(*op.tensor());
+  return {};
+}
+
+const dnn::Tensor& OnlineEngine::materialize(RequestState& state, dnn::LayerId id) const {
+  if (rpc::Transport::OpHandle op = fetch_output(state, id)) {
+    op.wait();
+    op.rethrow();
+    state.outputs[id] = std::move(*op.tensor());
+  }
+  return state.outputs[id];
 }
 
 std::optional<dnn::Tensor> OnlineEngine::record_vsm_message(RequestState& state,
@@ -415,21 +430,68 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
   }
 }
 
-void OnlineEngine::run_tier_pass(RequestState& state, core::Tier tier) const {
-  // Ensures `producer`'s tensor is present at `tier`, shipping it if not.
+namespace {
+
+// Applies the success effect of every completed op, then rethrows the first
+// failure. Each op must have completed (polled true, or waited on).
+void settle(std::vector<rpc::Transport::OpHandle>& ops,
+            std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) {
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].error()) {
+      if (!first_error) first_error = ops[i].error();
+    } else if (effects[i]) {
+      effects[i](ops[i]);
+    }
+  }
+  ops.clear();
+  effects.clear();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace
+
+bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
+                             std::vector<rpc::Transport::OpHandle>& ops,
+                             std::vector<OpEffect>& effects) const {
+  // Queues `op` with its success `effect` for the caller to settle. An op a
+  // synchronous transport completed at issue time is finished on the spot —
+  // effect applied, error thrown — so on those transports (in-process,
+  // loopback, decorators) the walk is a plain sequence of blocking calls.
+  const auto queue = [&](rpc::Transport::OpHandle op, OpEffect effect) {
+    if (op.settled()) {
+      op.poll();
+      op.rethrow();
+      if (effect) effect(op);
+      return;
+    }
+    ops.push_back(std::move(op));
+    effects.push_back(std::move(effect));
+  };
+  // in_flight[slot][tier]: a put this pass issued whose reply has not landed.
+  // `shipped` flips only on the reply, so without this a second consumer at
+  // the same tier would ship the boundary a second time.
+  std::vector<std::array<bool, 3>> in_flight(state.shipped.size(), {false, false, false});
+
+  // Ensures `producer`'s tensor is present at `to`, shipping it if not, by the
+  // cheapest path: the buddy's replica store (restored requests only), a peer
+  // push, else a relay through the coordinator. Returns false when the pass
+  // must end here: the relay's source is still on a remote node, so its fetch
+  // was issued instead.
+  //
   // Recording and shipping are tracked separately: the transcript message is
   // recorded exactly once (`sent`), but the payload counts as moved
-  // (`shipped`) only after the transport call returns — so when a channel
-  // death interrupts a send, the recovery re-entry re-ships the same boundary
+  // (`shipped`) only once the transport confirms it — so when a channel death
+  // interrupts a send, the recovery re-walk re-ships the same boundary
   // without re-recording it, and the transcript stays a pure function of the
   // plan.
   const auto deliver = [&](dnn::LayerId producer, core::Tier to) {
     const bool is_input = producer == dnn::kNetworkInput;
     const core::Tier from = is_input ? core::Tier::kDevice
                                      : assignment_.tier[dnn::Network::vertex_of(producer)];
-    if (from == to) return;
     const std::size_t slot = is_input ? 0 : producer + 1;
     const std::size_t to_idx = static_cast<std::size_t>(core::index(to));
+    if (from == to || state.shipped[slot][to_idx] || in_flight[slot][to_idx]) return true;
 
     MessageRecord meta;
     meta.seq = static_cast<std::uint64_t>(state.result.messages.size());
@@ -439,42 +501,58 @@ void OnlineEngine::run_tier_pass(RequestState& state, core::Tier tier) const {
     meta.from_tier = from;
     meta.to_tier = to;
     meta.bytes = is_input ? net_.input_shape().bytes() : net_.lambda_out_bytes(producer);
-    if (!state.sent[slot][to_idx]) {
+    // Recorded once the path is certain: a pass that ends on the relay's
+    // fetch records nothing, so the resumed pass records the boundary under
+    // the same seq its envelope carries.
+    const auto record_once = [&] {
+      if (state.sent[slot][to_idx]) return;
       state.sent[slot][to_idx] = true;
       record(state.result, meta);
-    }
-    if (state.shipped[slot][to_idx]) return;
+    };
 
-    // A restored request re-delivering its interrupted tier: the buddy's
-    // replica store is the cheapest source — the buddy pushes its stored copy
-    // peer-to-peer and the standby coordinator never touches the payload.
-    // (Speculative: the dead primary may not have replicated this slot, in
-    // which case the fall-through paths below pay the re-ship.)
-    if (state.restored && transport_->replica_push(state.rpc_request, meta, slot)) {
+    // A restored request re-delivering its interrupted tier tries the buddy's
+    // replica store first: the buddy pushes its stored copy peer-to-peer and
+    // the standby coordinator never touches the payload. (Speculative: the
+    // dead primary may not have replicated this slot.) Then a peer channel,
+    // which moves the bytes producer -> consumer directly, so the coordinator
+    // never materialises the tensor at all (the raw input is peer-pushable
+    // too — it was seeded into the device node). Both are synchronous
+    // round-trips on other channels (the buddy's, the producer's).
+    if ((state.restored && transport_->replica_push(state.rpc_request, meta, slot)) ||
+        transport_->send_peer(state.rpc_request, meta, slot)) {
+      record_once();
       state.shipped[slot][to_idx] = true;
-      return;
-    }
-    // Cheapest path first: a peer channel moves the bytes producer -> consumer
-    // directly and the coordinator never materialises the tensor at all (the
-    // raw input is peer-pushable too — it was seeded into the device node).
-    if (transport_->send_peer(state.rpc_request, meta, slot)) {
-      state.shipped[slot][to_idx] = true;
-      return;
+      return true;
     }
     // Relay path: serialise out of the coordinator's canonical copy, fetching
     // it first if a remote node computed it.
-    const dnn::Tensor& source = is_input ? *state.input : materialize(state, producer);
-    auto wired = transport_->send(state.rpc_request, meta, slot, source);
-    state.shipped[slot][to_idx] = true;
-    // Failover accounting: what a restored request re-ships through the
-    // coordinator is the cost buddy replication exists to avoid.
-    if (state.restored)
-      recovery_bytes_.fetch_add(static_cast<std::uint64_t>(source.shape().bytes()),
-                                std::memory_order_relaxed);
-    if (wired) {
-      if (state.delivered.empty()) state.delivered.resize(net_.num_layers() + 1);
-      state.delivered[slot][to_idx] = std::move(*wired);
+    if (!is_input) {
+      if (rpc::Transport::OpHandle fetch = fetch_output(state, producer)) {
+        ops.push_back(std::move(fetch));
+        effects.push_back([&state, producer](rpc::Transport::OpHandle& op) {
+          if (state.outputs[producer].size() == 0 && op.tensor())
+            state.outputs[producer] = std::move(*op.tensor());
+        });
+        return false;
+      }
     }
+    record_once();
+    const dnn::Tensor& source = is_input ? *state.input : state.outputs[producer];
+    const auto source_bytes = static_cast<std::uint64_t>(source.shape().bytes());
+    in_flight[slot][to_idx] = true;
+    queue(transport_->issue_send(state.rpc_request, meta, slot, source),
+          [this, &state, slot, to_idx, source_bytes](rpc::Transport::OpHandle& op) {
+            state.shipped[slot][to_idx] = true;
+            // Failover accounting: what a restored request re-ships through
+            // the coordinator is the cost buddy replication exists to avoid.
+            if (state.restored)
+              recovery_bytes_.fetch_add(source_bytes, std::memory_order_relaxed);
+            if (op.tensor()) {
+              if (state.delivered.empty()) state.delivered.resize(net_.num_layers() + 1);
+              state.delivered[slot][to_idx] = std::move(*op.tensor());
+            }
+          });
+    return true;
   };
 
   // One ascending-id pass: run every pending layer assigned to this stage's
@@ -500,31 +578,41 @@ void OnlineEngine::run_tier_pass(RequestState& state, core::Tier tier) const {
 
     if (vsm_ && id == vsm_->stack.front()) {
       // The stack input must be present on the edge coordinator first.
-      deliver(net_.layer(id).inputs[0], core::Tier::kEdge);
-      if (transport_->run_stack(state.rpc_request, node_of(core::Tier::kEdge))) {
-        // Remote edge: scatter, tile compute and gather all happened inside
-        // the edge process. Record the same intra-edge transcript (a pure
-        // function of the tile plan); the stack output stays on the edge node
-        // until a peer push, a relay, or the final result wants it.
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/false, nullptr);
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/true, nullptr);
-        for (const dnn::LayerId sid : vsm_->stack) {
-          state.computed[sid] = true;
-          ++state.result
-                .layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
-        }
-      } else {
+      if (!deliver(net_.layer(id).inputs[0], core::Tier::kEdge)) return false;
+      rpc::Transport::OpHandle op =
+          transport_->issue_run_stack(state.rpc_request, node_of(core::Tier::kEdge));
+      if (!op.valid()) {
         run_vsm_stack(state);
+        continue;
+      }
+      queue(std::move(op), nullptr);
+      // Remote edge: scatter, tile compute and gather all happen inside the
+      // edge process. Record the same intra-edge transcript (a pure function
+      // of the tile plan); the stack output stays on the edge node until a
+      // peer push, a relay, or the final result wants it.
+      for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
+        record_vsm_message(state, t, /*gather=*/false, nullptr);
+      for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
+        record_vsm_message(state, t, /*gather=*/true, nullptr);
+      for (const dnn::LayerId sid : vsm_->stack) {
+        state.computed[sid] = true;
+        ++state.result.layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
       }
       continue;
     }
 
-    for (const dnn::LayerId in : net_.layer(id).inputs) deliver(in, assigned);
-    if (transport_->run_layer(state.rpc_request, node_of(assigned), id)) {
-      // Remote node computed it from its own slots; the output is fetched
-      // back lazily — only when a relay or the final result needs it.
+    for (const dnn::LayerId in : net_.layer(id).inputs)
+      if (!deliver(in, assigned)) return false;
+    rpc::Transport::OpHandle op =
+        transport_->issue_run_layer(state.rpc_request, node_of(assigned), id);
+    if (op.valid()) {
+      // Remote node computes it from its own slots; the output is fetched
+      // back lazily — only when a relay or the final result needs it. Marked
+      // computed at issue: per-channel replies are FIFO, so any later verb
+      // reading this layer's slot on the node executes after it; a death
+      // before completion is un-marked by recover() (the coordinator's copy
+      // is still empty, same signature as any mid-walk death).
+      queue(std::move(op), nullptr);
     } else {
       std::vector<const dnn::Tensor*> ins;
       ins.reserve(net_.layer(id).inputs.size());
@@ -534,6 +622,17 @@ void OnlineEngine::run_tier_pass(RequestState& state, core::Tier tier) const {
     }
     state.computed[id] = true;
     ++state.result.layers_executed[static_cast<std::size_t>(core::index(assigned))];
+  }
+  return true;
+}
+
+void OnlineEngine::drive_tier(RequestState& state, core::Tier tier) const {
+  std::vector<rpc::Transport::OpHandle> ops;
+  std::vector<OpEffect> effects;
+  for (bool walked = false; !walked;) {
+    walked = walk_tier(state, tier, ops, effects);
+    for (rpc::Transport::OpHandle& op : ops) op.wait();
+    settle(ops, effects);
   }
 }
 
@@ -549,7 +648,7 @@ void OnlineEngine::run_tier(RequestState& state, core::Tier tier) const {
   // dead node lost. Bounded by max_recovery_attempts per request.
   for (;;) {
     try {
-      run_tier_pass(state, tier);
+      drive_tier(state, tier);
       break;
     } catch (const rpc::ChannelDied& died) {
       if (!try_recover(state, died)) throw;
@@ -707,7 +806,7 @@ InferenceResult OnlineEngine::finish(std::unique_ptr<RequestState> state) const 
     try {
       if (rerun) {
         rerun = false;
-        run_tier_pass(*state, core::Tier::kCloud);
+        drive_tier(*state, core::Tier::kCloud);
       }
       materialize(*state, net_.num_layers() - 1);
       break;
@@ -749,6 +848,7 @@ OnlineEngine::Continuation OnlineEngine::start_async(const dnn::Tensor& input) c
   }
   checkpoint(state, 0);
   c.ops_ = std::move(admission);
+  c.effects_.resize(c.ops_.size());
   c.phase_ = Continuation::Phase::kAdmitting;
   return c;
 }
@@ -813,176 +913,6 @@ bool OnlineEngine::step(Continuation& c) const {
   return c.done();
 }
 
-std::vector<dnn::LayerId> OnlineEngine::prefetch_targets(const RequestState& state,
-                                                         core::Tier tier) const {
-  std::vector<dnn::LayerId> targets;
-  std::vector<bool> queued(net_.num_layers(), false);
-  // Dry-run of run_tier_pass's eligibility walk (nothing recorded, nothing
-  // run): `sim` evolves exactly like state.computed would, so the predicted
-  // materialise set matches the walk's.
-  std::vector<bool> sim = state.computed;
-  const auto ready = [&](dnn::LayerId id) {
-    for (const dnn::LayerId in : net_.layer(id).inputs)
-      if (in != dnn::kNetworkInput && !sim[in]) return false;
-    return true;
-  };
-  const auto need = [&](dnn::LayerId in, core::Tier to) {
-    if (in == dnn::kNetworkInput) return;
-    // Only producers already computed on a remote node and never materialised
-    // at the coordinator; a producer running in this very pass has no output
-    // to fetch yet (the walk's blocking fallback covers that rarity).
-    if (!state.computed[in] || state.outputs[in].size() != 0) return;
-    const core::Tier from = assignment_.tier[dnn::Network::vertex_of(in)];
-    if (from == to) return;  // same node: nothing crosses the coordinator
-    if (state.shipped[in + 1][static_cast<std::size_t>(core::index(to))]) return;
-    if (!queued[in]) {
-      queued[in] = true;
-      targets.push_back(in);
-    }
-  };
-  for (dnn::LayerId id = 0; id < net_.num_layers(); ++id) {
-    if (sim[id]) continue;
-    const core::Tier assigned = assignment_.tier[dnn::Network::vertex_of(id)];
-    if (core::before(tier, assigned)) continue;
-    if (!ready(id)) continue;
-    if (vsm_ && id == vsm_->stack.front()) {
-      need(net_.layer(id).inputs[0], core::Tier::kEdge);
-      for (const dnn::LayerId sid : vsm_->stack) sim[sid] = true;
-      continue;
-    }
-    for (const dnn::LayerId in : net_.layer(id).inputs) need(in, assigned);
-    sim[id] = true;
-  }
-  return targets;
-}
-
-void OnlineEngine::run_tier_walk_async(
-    RequestState& state, core::Tier tier, std::vector<rpc::Transport::OpHandle>& ops,
-    std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) const {
-  // Queues `op` with its success `effect` for the kSettling phase. An op a
-  // synchronous transport completed at issue time is finished on the spot —
-  // effect applied, error thrown — so the walk degenerates to the blocking
-  // run_tier_pass there (identical state evolution, identical throw points).
-  const auto queue = [&](rpc::Transport::OpHandle op,
-                         std::function<void(rpc::Transport::OpHandle&)> effect) {
-    if (op.settled()) {
-      op.poll();
-      op.rethrow();
-      if (effect) effect(op);
-      return;
-    }
-    ops.push_back(std::move(op));
-    effects.push_back(std::move(effect));
-  };
-
-  // Issue-mode twin of run_tier_pass's deliver: record order and per-channel
-  // frame order are byte-for-byte the blocking walk's; only the waiting moved.
-  const auto deliver = [&](dnn::LayerId producer, core::Tier to) {
-    const bool is_input = producer == dnn::kNetworkInput;
-    const core::Tier from = is_input ? core::Tier::kDevice
-                                     : assignment_.tier[dnn::Network::vertex_of(producer)];
-    if (from == to) return;
-    const std::size_t slot = is_input ? 0 : producer + 1;
-    const std::size_t to_idx = static_cast<std::size_t>(core::index(to));
-
-    MessageRecord meta;
-    meta.seq = static_cast<std::uint64_t>(state.result.messages.size());
-    meta.from_node = node_of(from);
-    meta.to_node = node_of(to);
-    meta.payload = is_input ? "raw input" : net_.layer(producer).spec.name;
-    meta.from_tier = from;
-    meta.to_tier = to;
-    meta.bytes = is_input ? net_.input_shape().bytes() : net_.lambda_out_bytes(producer);
-    if (!state.sent[slot][to_idx]) {
-      state.sent[slot][to_idx] = true;
-      record(state.result, meta);
-    }
-    if (state.shipped[slot][to_idx]) return;
-
-    // The replica and peer paths are synchronous round-trips on *other*
-    // channels (the buddy's, the producer's) and stay blocking: they never
-    // ride this tier's pipelined queue.
-    if (state.restored && transport_->replica_push(state.rpc_request, meta, slot)) {
-      state.shipped[slot][to_idx] = true;
-      return;
-    }
-    if (transport_->send_peer(state.rpc_request, meta, slot)) {
-      state.shipped[slot][to_idx] = true;
-      return;
-    }
-    const dnn::Tensor& source = is_input ? *state.input : materialize(state, producer);
-    const bool restored = state.restored;
-    const std::uint64_t source_bytes = static_cast<std::uint64_t>(source.shape().bytes());
-    queue(transport_->issue_send(state.rpc_request, meta, slot, source),
-          [this, &state, slot, to_idx, restored,
-           source_bytes](rpc::Transport::OpHandle& op) {
-            // Shipped only once the put's reply landed: a death in between
-            // leaves it false and the recovery re-walk re-ships (without
-            // re-recording), exactly like a blocking mid-send death.
-            state.shipped[slot][to_idx] = true;
-            if (restored)
-              recovery_bytes_.fetch_add(source_bytes, std::memory_order_relaxed);
-            if (op.tensor()) {
-              if (state.delivered.empty()) state.delivered.resize(net_.num_layers() + 1);
-              state.delivered[slot][to_idx] = std::move(*op.tensor());
-            }
-          });
-  };
-
-  const auto ready = [&](dnn::LayerId id) {
-    for (const dnn::LayerId in : net_.layer(id).inputs)
-      if (in != dnn::kNetworkInput && !state.computed[in]) return false;
-    return true;
-  };
-
-  for (dnn::LayerId id = 0; id < net_.num_layers(); ++id) {
-    if (state.computed[id]) continue;
-    const core::Tier assigned = assignment_.tier[dnn::Network::vertex_of(id)];
-    if (core::before(tier, assigned)) continue;
-    if (!ready(id)) continue;
-
-    if (vsm_ && id == vsm_->stack.front()) {
-      deliver(net_.layer(id).inputs[0], core::Tier::kEdge);
-      rpc::Transport::OpHandle op =
-          transport_->issue_run_stack(state.rpc_request, node_of(core::Tier::kEdge));
-      if (op.valid()) {
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/false, nullptr);
-        for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-          record_vsm_message(state, t, /*gather=*/true, nullptr);
-        for (const dnn::LayerId sid : vsm_->stack) {
-          state.computed[sid] = true;
-          ++state.result
-                .layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
-        }
-        queue(std::move(op), nullptr);
-      } else {
-        run_vsm_stack(state);
-      }
-      continue;
-    }
-
-    for (const dnn::LayerId in : net_.layer(id).inputs) deliver(in, assigned);
-    rpc::Transport::OpHandle op =
-        transport_->issue_run_layer(state.rpc_request, node_of(assigned), id);
-    if (op.valid()) {
-      // Optimistically computed at issue: per-channel replies are FIFO, so any
-      // later verb reading this layer's slot on the node executes after it; a
-      // death before completion is un-marked by recover() (the coordinator's
-      // copy is still empty, same signature as a blocking mid-walk death).
-      queue(std::move(op), nullptr);
-    } else {
-      std::vector<const dnn::Tensor*> ins;
-      ins.reserve(net_.layer(id).inputs.size());
-      for (const dnn::LayerId in : net_.layer(id).inputs)
-        ins.push_back(resolve_input(state, in, assigned));
-      state.outputs[id] = exec::run_layer(net_, weights_, id, ins, op_context());
-    }
-    state.computed[id] = true;
-    ++state.result.layers_executed[static_cast<std::size_t>(core::index(assigned))];
-  }
-}
-
 OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
   if (c.done())
     throw std::logic_error("OnlineEngine: step_async() on a finished continuation");
@@ -994,67 +924,30 @@ OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
     // loop, keeping collect-time recovery in one place.
     RequestState& state = *c.state_;
     const auto last = static_cast<dnn::LayerId>(net_.num_layers() - 1);
-    if (c.phase_ == Continuation::Phase::kCollecting) {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      for (auto& op : c.ops_)
-        if (!op.error() && op.tensor() && state.outputs[last].size() == 0)
-          state.outputs[last] = std::move(*op.tensor());
-      c.ops_.clear();
-    } else if (state.outputs[last].size() == 0) {
+    if (c.phase_ != Continuation::Phase::kCollecting) {
+      c.phase_ = Continuation::Phase::kCollecting;
       try {
-        rpc::Transport::OpHandle op = transport_->issue_fetch(
-            state.rpc_request, node_of(assignment_.tier[dnn::Network::vertex_of(last)]),
-            last + 1);
-        if (op.valid() && !op.settled()) {
+        if (rpc::Transport::OpHandle op = fetch_output(state, last))
           c.ops_.push_back(std::move(op));
-          c.phase_ = Continuation::Phase::kCollecting;
-          return StepStatus::kParked;
-        }
-        if (op.valid() && !op.error() && op.tensor())
-          state.outputs[last] = std::move(*op.tensor());
       } catch (const rpc::ChannelDied&) {
         // finish() owns collect-time recovery; re-entering it re-fetches.
       }
     }
+    for (auto& op : c.ops_) {
+      if (!op.poll()) return StepStatus::kParked;
+      if (!op.error() && op.tensor()) state.outputs[last] = std::move(*op.tensor());
+    }
+    c.ops_.clear();
     c.result_ = finish(std::move(c.state_));
     ++c.next_;
     return StepStatus::kDone;
   }
   RequestState& state = *c.state_;
   const core::Tier tier = c.next_tier();
-
-  switch (c.phase_) {
-    case Continuation::Phase::kAdmitting: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (auto& op : c.ops_)
-        if (op.error() && !first_error) first_error = op.error();
-      c.ops_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          // recover() re-begins the request on the restored channel and
-          // re-seeds the input, so admission is complete after it succeeds.
-          if (!try_recover(state, died)) throw;
-        }
-      }
-      c.phase_ = Continuation::Phase::kStart;
-      return StepStatus::kReady;
-    }
-
-    case Continuation::Phase::kCollecting:
-      throw std::logic_error("OnlineEngine: kCollecting before the collect stage");
-
-    case Continuation::Phase::kStart: {
+  for (;;) {
+    if (c.phase_ == Continuation::Phase::kStart) {
       // Emulated tier latency is paid once per stage, like run_tier's: a
-      // recovery re-entry must not re-sleep.
+      // re-walk (relay fetch, recovery) must not re-sleep.
       if (c.slept_stage_ != c.next_) {
         c.slept_stage_ = c.next_;
         const double service =
@@ -1063,101 +956,42 @@ OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
         if (service > 0.0)
           std::this_thread::sleep_for(std::chrono::duration<double>(service));
       }
-      c.ops_.clear();
-      c.fetch_ids_.clear();
-      c.effects_.clear();
       try {
-        for (const dnn::LayerId id : prefetch_targets(state, tier)) {
-          c.ops_.push_back(transport_->issue_fetch(
-              state.rpc_request,
-              node_of(assignment_.tier[dnn::Network::vertex_of(id)]), id + 1));
-          c.fetch_ids_.push_back(id);
-        }
-      } catch (const rpc::ChannelDied& died) {
-        c.ops_.clear();
-        c.fetch_ids_.clear();
-        if (!try_recover(state, died)) throw;
-        return StepStatus::kReady;  // re-enter kStart on the recovered channel
-      }
-      c.phase_ = Continuation::Phase::kFetching;
-      return StepStatus::kReady;
-    }
-
-    case Continuation::Phase::kFetching: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < c.ops_.size(); ++i) {
-        rpc::Transport::OpHandle& op = c.ops_[i];
-        if (op.error()) {
-          if (!first_error) first_error = op.error();
-          continue;
-        }
-        dnn::Tensor& out = state.outputs[c.fetch_ids_[i]];
-        if (out.size() == 0 && op.tensor()) out = std::move(*op.tensor());
-      }
-      c.ops_.clear();
-      c.fetch_ids_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          if (!try_recover(state, died)) throw;
-          c.phase_ = Continuation::Phase::kStart;
-          return StepStatus::kReady;
-        }
-      }
-      try {
-        run_tier_walk_async(state, tier, c.ops_, c.effects_);
+        c.walked_ = walk_tier(state, tier, c.ops_, c.effects_);
       } catch (const rpc::ChannelDied& died) {
         // Ops already issued stay queued on their (healthy) channels; FIFO
         // drains retire them under whoever touches those channels next, and
-        // the re-entered walk re-issues only what recover() un-marked.
+        // the re-entered walk re-issues only what is still unshipped or what
+        // recover() un-marked.
         c.ops_.clear();
         c.effects_.clear();
         if (!try_recover(state, died)) throw;
-        c.phase_ = Continuation::Phase::kStart;
         return StepStatus::kReady;
       }
       c.phase_ = Continuation::Phase::kSettling;
-      return StepStatus::kReady;
     }
 
-    case Continuation::Phase::kSettling: {
-      bool all = true;
-      for (auto& op : c.ops_)
-        if (!op.poll()) all = false;
-      if (!all) return StepStatus::kParked;
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < c.ops_.size(); ++i) {
-        rpc::Transport::OpHandle& op = c.ops_[i];
-        if (op.error()) {
-          if (!first_error) first_error = op.error();
-          continue;
-        }
-        if (c.effects_[i]) c.effects_[i](op);
-      }
-      c.ops_.clear();
-      c.effects_.clear();
-      if (first_error) {
-        try {
-          std::rethrow_exception(first_error);
-        } catch (const rpc::ChannelDied& died) {
-          if (!try_recover(state, died)) throw;
-          c.phase_ = Continuation::Phase::kStart;
-          return StepStatus::kReady;
-        }
-      }
-      state.restored = false;
-      checkpoint(state, core::index(tier) + 1);
-      c.phase_ = Continuation::Phase::kStart;
-      ++c.next_;
+    // kAdmitting / kSettling: park until every issued op's reply lands.
+    bool all = true;
+    for (auto& op : c.ops_)
+      if (!op.poll()) all = false;
+    if (!all) return StepStatus::kParked;
+    c.phase_ = Continuation::Phase::kStart;
+    try {
+      settle(c.ops_, c.effects_);
+    } catch (const rpc::ChannelDied& died) {
+      // recover() rebuilds the lost node's state (after admission: re-begins
+      // the request and re-seeds the input), and the re-entered walk resumes
+      // where the fault hit.
+      if (!try_recover(state, died)) throw;
       return StepStatus::kReady;
     }
+    if (!c.walked_) continue;  // admission done, or the pass ended on a fetch
+    state.restored = false;
+    checkpoint(state, core::index(tier) + 1);
+    ++c.next_;
+    return StepStatus::kReady;
   }
-  return StepStatus::kReady;  // unreachable: all phases return above
 }
 
 InferenceResult OnlineEngine::take(Continuation&& c) const {

@@ -192,9 +192,9 @@ class OnlineEngine {
     // boundary is recorded exactly once even across recovery re-runs.
     std::vector<std::array<bool, 3>> sent;
     // shipped[producer index][tier]: the payload bytes actually reached the
-    // tier's node — set only after the transport call returns, so a mid-send
-    // channel death leaves it false and the re-entered tier walk re-ships
-    // without re-recording.
+    // tier's node — set only once the transport confirms it (a put's reply
+    // landed), so a mid-send channel death leaves it false and the re-entered
+    // tier walk re-ships without re-recording.
     std::vector<std::array<bool, 3>> shipped;
     // vsm_recorded[tile][0=scatter,1=gather]: transcript dedupe for the VSM
     // intra-edge messages (sized lazily on first stack execution).
@@ -306,19 +306,20 @@ class OnlineEngine {
     InferenceResult result_;
     int next_ = 0;
     // step_async per-tier phase machine: park until start_async's pipelined
-    // admission (kBegin broadcast + input seed) settles (kAdmitting), issue
-    // prefetch fetches (kStart), park until they land then issue the tier's
-    // walk (kFetching), park until every issued op settles then apply effects
-    // and advance (kSettling). kCollecting parks the collect stage on its
-    // issued final-output fetch so even the last round-trip overlaps other
-    // requests' compute.
-    enum class Phase { kAdmitting, kStart, kFetching, kSettling, kCollecting };
+    // admission (kBegin broadcast + input seed) settles (kAdmitting), walk
+    // the tier, issuing its remote verbs (kStart), park until every issued op
+    // settles, apply their effects, then advance — or walk again when the
+    // pass ended on a relay fetch (kSettling). kCollecting parks the collect
+    // stage on its issued final-output fetch so even the last round-trip
+    // overlaps other requests' compute.
+    enum class Phase { kAdmitting, kStart, kSettling, kCollecting };
     Phase phase_ = Phase::kStart;
+    bool walked_ = false;   // the last walk_tier pass covered the whole tier
     int slept_stage_ = -1;  // emulated tier latency paid once per stage
     std::vector<rpc::Transport::OpHandle> ops_;
-    std::vector<dnn::LayerId> fetch_ids_;  // parallel to ops_ in kFetching
-    // Parallel to ops_ in kSettling: success-side state mutation for each op
-    // (mark shipped, store a wired copy), applied only after the op completes.
+    // Parallel to ops_: success-side state mutation for each op (mark
+    // shipped, store a wired copy or a fetched output), applied only after
+    // the op completes.
     std::vector<std::function<void(rpc::Transport::OpHandle&)>> effects_;
   };
 
@@ -353,30 +354,29 @@ class OnlineEngine {
   // where it was — the caller replays from a fresh start() or propagates.
   bool step(Continuation& c) const;
 
-  // Non-blocking variant of step() for readiness-driven schedulers. Instead of
-  // blocking on the wire, a tier stage advances through a three-phase walk:
+  // Non-blocking variant of step() for readiness-driven schedulers. It runs
+  // the same tier walk as step() (walk_tier), which issues the tier's remote
+  // verbs — boundary puts, run-layer/run-stack, a relay's fetch — on their
+  // channels (coalesced into pipelined writes) without waiting. step() then
+  // blocks on the issued ops; step_async parks on them instead:
   //
-  //   kStart    issue prefetch fetches for every remote producer output the
-  //             tier walk will materialise at the coordinator;
-  //   kFetching once the fetches land, run the tier walk in *issue* mode —
-  //             boundary puts and run-layer/run-stack verbs are queued on
-  //             their channels (coalesced into pipelined writes) instead of
-  //             awaited one by one;
+  //   kStart    walk the tier, issuing its remote verbs;
   //   kSettling once every issued op's reply lands, apply the success effects
-  //             (shipped flags, wired copies), recover from any channel death,
-  //             checkpoint, and advance to the next tier.
+  //             (shipped flags, wired copies, fetched outputs), recover from
+  //             any channel death, then either walk again (the pass ended on
+  //             a relay fetch) or checkpoint and advance to the next tier.
   //
   // kParked means outstanding ops are unsettled: the caller should wait for
   // readability on Continuation::pending_fds() (or sweep ops_settled()) and
   // call step_async again — the reactor keeps serving other requests
   // meanwhile, which is what overlaps wire wait with compute. kReady means
-  // call again now. Record order is fixed at issue time in walk order, and
-  // per-channel frames are issued in exactly the blocking walk's order, so
-  // outputs stay bitwise-identical and transcripts byte-identical to step()
-  // and infer() on every transport. On transports whose issue_* verbs
-  // complete synchronously (in-process, loopback, fault-injection decorators)
-  // the effects apply inline and the walk degenerates to the blocking one.
-  // Throws like step(); the cursor semantics on throw are identical.
+  // call again now. Both dispatch modes walk, issue and settle identically
+  // and differ only in where they wait, so outputs stay bitwise-identical,
+  // transcripts byte-identical and wire traffic equal to step() and infer()
+  // on every transport. On transports whose issue_* verbs complete
+  // synchronously (in-process, loopback, decorators) every op settles at
+  // issue and a tier takes one call. Throws like step(); the cursor
+  // semantics on throw are identical.
   enum class StepStatus { kDone, kReady, kParked };
   StepStatus step_async(Continuation& c) const;
 
@@ -395,23 +395,24 @@ class OnlineEngine {
   Stats stats() const;
 
  private:
-  // One walk of the plan at `tier` (the pre-recovery run_tier body); the
-  // public run_tier wraps it in the ChannelDied recovery loop.
-  void run_tier_pass(RequestState& state, core::Tier tier) const;
-  // run_tier_pass in issue mode (step_async's kFetching phase): identical walk
-  // and record order, but remote verbs are issued, not awaited — each op lands
-  // in `ops` with its success effect in `effects`. Ops already settled at
-  // issue time (synchronous transports) have their effects applied inline.
-  void run_tier_walk_async(
-      RequestState& state, core::Tier tier, std::vector<rpc::Transport::OpHandle>& ops,
-      std::vector<std::function<void(rpc::Transport::OpHandle&)>>& effects) const;
-  // The producers whose outputs the next run_tier_pass at `tier` would
-  // materialise at the coordinator (computed on a remote node, never fetched,
-  // needed by an unshipped boundary): what kStart prefetches concurrently.
-  // Over- and under-approximation are both safe — a spare fetch only moves
-  // bytes, a missed one falls back to the walk's blocking materialise.
-  std::vector<dnn::LayerId> prefetch_targets(const RequestState& state,
-                                             core::Tier tier) const;
+  using OpEffect = std::function<void(rpc::Transport::OpHandle&)>;
+
+  // One pass of the plan at `tier` — the engine's only tier walk. Records the
+  // transcript and issues every remote verb the tier needs without waiting:
+  // ops still on the wire land in `ops`, each with its success effect in
+  // `effects`; ops a synchronous transport completed at issue are settled on
+  // the spot. Returns false when the pass ended early on a relay whose source
+  // is still on a remote node: its fetch is the last op issued, and once the
+  // caller has settled the ops, the next pass resumes at that boundary
+  // (`computed`/`sent`/`shipped` make re-entry idempotent, exactly as for
+  // recovery re-walks).
+  bool walk_tier(RequestState& state, core::Tier tier,
+                 std::vector<rpc::Transport::OpHandle>& ops,
+                 std::vector<OpEffect>& effects) const;
+  // walk_tier driven to completion on the calling thread: issue, wait,
+  // settle, and walk again until a pass covers the whole tier. Throws the
+  // first failure; run_tier and finish() wrap it in their recovery loops.
+  void drive_tier(RequestState& state, core::Tier tier) const;
   // Tier-granular recovery after `died`: reopen the request on the lost node,
   // re-seed the slots it held from coordinator-held (or survivor-fetched)
   // tensors, and un-mark lost layers so the re-entered walk re-runs exactly
@@ -433,8 +434,13 @@ class OnlineEngine {
   // Edge fan-out: scatter tile crops to the transport's worker shards, run
   // them concurrently (one lane per physical worker), gather in tile order.
   void run_vsm_stack_sharded(RequestState& state, const dnn::Tensor& stack_input) const;
+  // Starts bringing layer `id`'s output to the coordinator. Returns the fetch
+  // while it is still on the wire, else an invalid handle: the output is held
+  // (it already was, or the transport completed the fetch at issue), or —
+  // on transports without per-node slots — it was recomputed locally.
+  rpc::Transport::OpHandle fetch_output(RequestState& state, dnn::LayerId id) const;
   // Lazily materialises layer `id`'s output at the coordinator (fetching from
-  // the remote node that computed it, if needed) and returns it.
+  // the remote node that computed it and waiting, if needed) and returns it.
   const dnn::Tensor& materialize(RequestState& state, dnn::LayerId id) const;
   // Transcript + traffic record for one VSM scatter/gather message. Byte
   // counts are a pure function of the tile plan — shared by the local and

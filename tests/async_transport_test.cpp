@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
 #include "rpc/socket_transport.h"
+#include "rpc/wire.h"
 #include "runtime/engine.h"
 #include "runtime/serving_reactor.h"
 #include "util/rng.h"
@@ -143,39 +145,83 @@ OnlineEngine make_wired(const Fixture& f, const core::Assignment& plan,
 
 // --- Equivalence matrix -----------------------------------------------------
 
+// The coordinator's wire traffic over a run of requests. Every frame is a
+// pure function of the plan (heartbeats are off), so equal request counts
+// must move exactly equal traffic, whichever dispatch mode drives them.
+struct Traffic {
+  std::uint64_t frames = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t fetched = 0;
+  std::uint64_t relay = 0;
+  bool operator==(const Traffic&) const = default;
+};
+
+Traffic traffic_since(const rpc::SocketTransport::Stats& before,
+                      const rpc::SocketTransport::Stats& after) {
+  return {after.frames_sent - before.frames_sent,
+          after.payload_bytes_sent - before.payload_bytes_sent,
+          after.payload_bytes_fetched - before.payload_bytes_fetched,
+          after.relay_bytes - before.relay_bytes};
+}
+
+void PrintTo(const Traffic& t, std::ostream* os) {
+  *os << "{frames " << t.frames << ", sent " << t.sent << " B, fetched " << t.fetched
+      << " B, relay " << t.relay << " B}";
+}
+
 TEST(AsyncTransport, ReadinessDispatchMatchesBlockingAcrossProcesses) {
-  for (const char* which : {"chain", "branch"}) {
-    Fixture f(std::string(which) == "chain" ? dnn::zoo::tiny_chain()
-                                            : dnn::zoo::tiny_branch());
-    const core::Assignment plan = three_tier_plan(f.net);
-    Cluster cluster(f.net, f.weights, core::SerializablePlan{f.net.name(), plan, std::nullopt});
-    const OnlineEngine wired = make_wired(f, plan, cluster.transport);
+  constexpr std::uint64_t kRequests = 6;
+  for (const bool peers : {false, true}) {
+    for (const char* which : {"chain", "branch"}) {
+      SCOPED_TRACE(std::string(which) + (peers ? " with peers" : " on a star"));
+      Fixture f(std::string(which) == "chain" ? dnn::zoo::tiny_chain()
+                                              : dnn::zoo::tiny_branch());
+      const core::Assignment plan = three_tier_plan(f.net);
+      Cluster cluster(f.net, f.weights,
+                      core::SerializablePlan{f.net.name(), plan, std::nullopt});
+      if (peers) cluster.transport->connect_peers();
+      const OnlineEngine wired = make_wired(f, plan, cluster.transport);
 
-    // The wired engine's own blocking infer() is the reference for both the
-    // transcript and the (bitwise single-node-identical) output.
-    const InferenceResult reference = wired.infer(f.input);
-    expect_identical(reference.output, f.reference);
-
-    for (const bool readiness : {false, true}) {
-      ServingReactor::Options options;
-      options.readiness_dispatch = readiness;
-      ServingReactor reactor(wired, options);
-      std::vector<std::size_t> ids;
-      for (int i = 0; i < 6; ++i) ids.push_back(reactor.submit(f.input));
-      for (const std::size_t id : ids) {
-        const InferenceResult result = reactor.wait(id);
-        expect_identical(result.output, reference.output);
-        expect_same_transcript(result, reference);
+      // The wired engine's own blocking infer() is the reference for the
+      // transcript, the (bitwise single-node-identical) output, and the wire
+      // traffic per request.
+      rpc::SocketTransport::Stats before = cluster.transport->stats();
+      InferenceResult reference;
+      for (std::uint64_t i = 0; i < kRequests; ++i) reference = wired.infer(f.input);
+      const Traffic expected = traffic_since(before, cluster.transport->stats());
+      expect_identical(reference.output, f.reference);
+      if (peers) {
+        // Every boundary rides a peer channel: the coordinator fetches the
+        // final output and nothing else, and relays nothing.
+        EXPECT_EQ(expected.fetched, kRequests * rpc::encode_tensor(reference.output).size());
+        EXPECT_EQ(expected.relay, 0u);
       }
-      const ServingReactor::Stats stats = reactor.stats();
-      EXPECT_EQ(stats.completed, ids.size());
-      if (readiness) {
-        // The async walk must actually have parked on the wire at least once
-        // — otherwise this test silently degenerated to the blocking path.
-        EXPECT_GT(stats.parked_stages, 0u);
-        EXPECT_GT(stats.wire_wait_ms, 0.0);
-      } else {
-        EXPECT_EQ(stats.parked_stages, 0u);
+
+      for (const bool readiness : {false, true}) {
+        SCOPED_TRACE(readiness ? "readiness dispatch" : "blocking dispatch");
+        ServingReactor::Options options;
+        options.readiness_dispatch = readiness;
+        ServingReactor reactor(wired, options);
+        before = cluster.transport->stats();
+        std::vector<std::size_t> ids;
+        for (std::uint64_t i = 0; i < kRequests; ++i) ids.push_back(reactor.submit(f.input));
+        for (const std::size_t id : ids) {
+          const InferenceResult result = reactor.wait(id);
+          expect_identical(result.output, reference.output);
+          expect_same_transcript(result, reference);
+        }
+        EXPECT_EQ(traffic_since(before, cluster.transport->stats()), expected);
+        const ServingReactor::Stats stats = reactor.stats();
+        EXPECT_EQ(stats.completed, ids.size());
+        if (readiness) {
+          // The async walk must actually have parked on the wire at least
+          // once — otherwise this test silently degenerated to the blocking
+          // path.
+          EXPECT_GT(stats.parked_stages, 0u);
+          EXPECT_GT(stats.wire_wait_ms, 0.0);
+        } else {
+          EXPECT_EQ(stats.parked_stages, 0u);
+        }
       }
     }
   }

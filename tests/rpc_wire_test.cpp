@@ -1,15 +1,23 @@
 // The binary wire format: randomized tensor round-trips (including NaN
 // payloads, infinities and denormals, compared bit-for-bit), envelope framing,
 // weight shipping, and the strict error paths — truncation at every prefix
-// length, bad magic, bad version, corrupt shapes and trailing bytes.
+// length, bad magic, bad version, corrupt shapes and trailing bytes. Frame
+// reads over a socketpair pin that a header's declared body length never
+// buys more memory than the bytes that actually arrive.
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <thread>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "dnn/model_zoo.h"
+#include "rpc/socket.h"
 #include "rpc/wire.h"
 #include "util/rng.h"
 
@@ -236,6 +244,70 @@ TEST(RpcWire, WeightsRejectWrongNetworkAndTruncation) {
   // Truncation at a few prefix lengths (full sweep would be slow here).
   for (const std::size_t len : {std::size_t{0}, std::size_t{5}, bytes.size() / 2, bytes.size() - 1})
     EXPECT_THROW(decode_weights(std::span(bytes).first(len), chain), WireError) << len;
+}
+
+// A frame whose header claims `claimed` body bytes but carries `body` bytes.
+std::vector<std::uint8_t> frame_claiming(std::uint64_t claimed, std::size_t body) {
+  std::vector<std::uint8_t> frame;
+  encode_frame(frame, MsgKind::kPut, std::vector<std::uint8_t>(body, 0xAB), 7);
+  // The body length is the header's last field (u64, little-endian).
+  const std::size_t len_at = frame.size() - body - 8;
+  for (int i = 0; i < 8; ++i) frame[len_at + i] = static_cast<std::uint8_t>(claimed >> (8 * i));
+  return frame;
+}
+
+TEST(RpcWire, LyingFrameHeaderCostsOnlyTheBytesReceived) {
+  // A header claiming 1 GiB, 16 body bytes, then a hang-up: the read must
+  // fail on the truncation without first allocating the claimed length. A
+  // forked child does the read, so its peak RSS measures that read alone.
+  const std::vector<std::uint8_t> frame = frame_claiming(std::uint64_t{1} << 30, 16);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  write_bytes(fds[1], frame);
+  ::close(fds[1]);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    rusage before{};
+    ::getrusage(RUSAGE_SELF, &before);
+    int code = 1;  // no exception
+    try {
+      read_frame(fds[0]);
+    } catch (const SocketError&) {
+      code = 0;
+    } catch (...) {
+      code = 2;
+    }
+    rusage after{};
+    ::getrusage(RUSAGE_SELF, &after);
+    if (code == 0 && after.ru_maxrss - before.ru_maxrss >= 64 * 1024) code = 3;  // KiB
+    ::_exit(code);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: read returned, 2: not a SocketError, 3: peak RSS grew by 64 MiB or more";
+}
+
+TEST(RpcWire, LargeFrameBodyArrivesIntact) {
+  // Honest frames past the first growth step (and not a power of two) still
+  // arrive byte for byte.
+  std::vector<std::uint8_t> body((std::size_t{3} << 20) + 5);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::uint8_t>(i * 131);
+  std::vector<std::uint8_t> frame;
+  encode_frame(frame, MsgKind::kConfig, body, 42);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] { write_bytes(fds[1], frame); });
+  const Frame got = read_frame(fds[0]);
+  writer.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_EQ(got.kind, MsgKind::kConfig);
+  EXPECT_EQ(got.corr, 42u);
+  EXPECT_EQ(got.body, body);
 }
 
 }  // namespace
