@@ -1,9 +1,10 @@
 // Measured concurrency of the threaded runtime engine on real tensors:
 // (1) VSM stage wall clock, sequential tile loop vs. ThreadPool workers — the
 //     paper's fused-tile spatial parallelism actually running as threads;
-// (2) pipelined batch admission through runtime::BatchScheduler vs. strictly
-//     serial inference — the tier pipelining that sim::pipelining_speedup
-//     predicts.
+// (2) pipelined batch admission through runtime::ServingReactor (readiness
+//     dispatch: each stage parks on its tier's emulated-service timer while
+//     the reactor steps other requests) vs. strictly serial inference — the
+//     tier pipelining that sim::pipelining_speedup predicts.
 //
 // Two modes per table. "raw" runs pure compute: its speedup tracks how many
 // physical cores the host gives the pool (on a single-core CI box it stays
@@ -12,7 +13,15 @@
 // a *separate* edge node there); threads genuinely overlap those waits, so
 // this is real wall-clock concurrency even on one core, not a simulation —
 // and outputs are still checked bitwise against the single-node reference.
+//
+// --enforce-gate exits 1 on any output mismatch, or when the batch-16
+// pipelined speedup is more than 10% away from sim::pipelining_speedup — a
+// reactor that waits out the emulated service on its own thread reads ~1x, one
+// that lets every request's service overlap (no per-tier queue) reads far
+// above the model.
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -22,8 +31,8 @@
 #include "core/vsm.h"
 #include "exec/executor.h"
 #include "net/conditions.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -56,7 +65,8 @@ dnn::Network vsm_workload() {
                               {{8, w3}, {8, w3}, {12, w3}});
 }
 
-void vsm_stage_speedup() {
+// Returns whether every output matched the reference.
+bool vsm_stage_speedup() {
   const dnn::Network net = vsm_workload();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 7);
   util::Rng rng(11);
@@ -74,6 +84,7 @@ void vsm_stage_speedup() {
 
   util::Table table({"mode", "workers", "grid", "sequential (ms)", "threaded (ms)",
                      "speedup", "lossless"});
+  bool all_lossless = true;
   constexpr int kReps = 3;
   for (const bool cluster : {false, true}) {
     for (const int workers : {2, 4, 8}) {
@@ -100,6 +111,7 @@ void vsm_stage_speedup() {
       for (int r = 0; r < kReps; ++r)
         lossless &= identical(threaded.infer(input).output, reference);
       const double threaded_s = seconds_since(t0) / kReps;
+      all_lossless &= lossless;
 
       table.row()
           .cell(std::string(cluster ? "cluster" : "raw"))
@@ -119,9 +131,16 @@ void vsm_stage_speedup() {
                   " ms remote service per tile; host cores: " +
                   std::to_string(runtime::ThreadPool::hardware_threads()));
   std::cout << "\n";
+  return all_lossless;
 }
 
-void pipelined_batch_speedup() {
+struct PipelineOutcome {
+  bool lossless = true;
+  double speedup = 0.0;        // measured, largest batch
+  double model_speedup = 0.0;  // sim::pipelining_speedup, same batch
+};
+
+PipelineOutcome pipelined_batch_speedup() {
   const dnn::Network net = vsm_workload();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 19);
   util::Rng rng(23);
@@ -151,6 +170,7 @@ void pipelined_batch_speedup() {
 
   util::Table table({"batch", "serial (ms)", "pipelined (ms)", "speedup",
                      "model speedup", "lossless"});
+  PipelineOutcome outcome;
   for (const std::size_t batch : {4u, 8u, 16u}) {
     std::vector<dnn::Tensor> inputs;
     for (std::size_t k = 0; k < batch; ++k)
@@ -164,38 +184,67 @@ void pipelined_batch_speedup() {
     const double serial_s = seconds_since(t0);
 
     t0 = std::chrono::steady_clock::now();
-    runtime::BatchScheduler scheduler(engine);
-    for (const dnn::Tensor& input : inputs) scheduler.submit(input);
-    const std::vector<runtime::InferenceResult> results = scheduler.drain();
+    runtime::ServingReactor::Options serving;
+    serving.readiness_dispatch = true;
+    runtime::ServingReactor reactor(engine, serving);
+    for (const dnn::Tensor& input : inputs) reactor.submit(input);
+    const std::vector<runtime::InferenceResult> results = reactor.drain();
     const double pipelined_s = seconds_since(t0);
-    for (std::size_t k = 0; k < batch; ++k)
+    lossless &= results.size() == batch;
+    for (std::size_t k = 0; k < results.size() && k < batch; ++k)
       lossless &= identical(results[k].output, refs[k]);
 
+    outcome.lossless &= lossless;
+    outcome.speedup = serial_s / pipelined_s;
+    outcome.model_speedup = sim::pipelining_speedup(pipe, batch);
     table.row()
         .cell(static_cast<std::int64_t>(batch))
         .cell(util::ms(serial_s), 2)
         .cell(util::ms(pipelined_s), 2)
-        .cell(serial_s / pipelined_s, 2)
-        .cell(sim::pipelining_speedup(pipe, batch), 2)
+        .cell(outcome.speedup, 2)
+        .cell(outcome.model_speedup, 2)
         .cell(std::string(lossless ? "yes" : "NO"));
   }
   table.print(std::cout,
-              "Batched admission: serial infer() vs. BatchScheduler tier pipeline "
-              "(emulated stage service device/edge/cloud = 30/80/30 ms)");
+              "Batched admission: serial infer() vs. ServingReactor tier pipeline "
+              "(readiness dispatch; emulated stage service device/edge/cloud = "
+              "30/80/30 ms, one request at a time per tier)");
   std::cout << "\n";
+  return outcome;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool enforce_gate = false;
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--enforce-gate") == 0) enforce_gate = true;
+
   bench::banner("Concurrent runtime engine",
                 "Real threads, real tensors: VSM tile parallelism and tier "
                 "pipelining measured against the sequential engine, with "
                 "bitwise losslessness checked on every run.");
-  vsm_stage_speedup();
-  pipelined_batch_speedup();
+  const bool vsm_lossless = vsm_stage_speedup();
+  const PipelineOutcome pipeline = pipelined_batch_speedup();
   bench::paper_note(
       "HPA+VSM's speedup story (Figs. 9/12) assumes concurrent workers; this "
       "bench demonstrates it end-to-end on the in-process cluster.");
+
+  if (enforce_gate) {
+    if (!vsm_lossless || !pipeline.lossless) {
+      std::cerr << "GATE FAILED: an output differs from the single-node reference\n";
+      return 1;
+    }
+    const double off = std::abs(pipeline.speedup / pipeline.model_speedup - 1.0);
+    if (off > 0.10) {
+      std::cerr << "GATE FAILED: batch-16 pipelined speedup " << pipeline.speedup
+                << "x is " << off * 100 << "% from the model's " << pipeline.model_speedup
+                << "x (allowed 10%)\n";
+      return 1;
+    }
+    std::cout << "gate ok: every output lossless; batch-16 pipelined speedup "
+              << pipeline.speedup << "x within 10% of the model's " << pipeline.model_speedup
+              << "x\n";
+  }
   return 0;
 }

@@ -11,6 +11,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 namespace d3::rpc {
@@ -381,6 +382,18 @@ void EventFd::signal() {
 void EventFd::drain() {
   std::uint64_t count = 0;
   [[maybe_unused]] const ssize_t n = ::read(fd_.fd(), &count, sizeof(count));
+}
+
+TimerFd::TimerFd(std::chrono::steady_clock::time_point due)
+    : fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC)) {
+  if (!fd_.valid()) fail_errno("timerfd_create");
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(due.time_since_epoch()).count();
+  itimerspec spec{};
+  spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+  spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+  if (::timerfd_settime(fd_.fd(), TFD_TIMER_ABSTIME, &spec, nullptr) != 0)
+    fail_errno("timerfd_settime");
 }
 
 }  // namespace d3::rpc

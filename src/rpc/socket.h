@@ -15,6 +15,7 @@
 // misparsed as a valid message.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -219,6 +220,18 @@ class EventFd {
   int fd() const { return fd_.fd(); }
   void signal();
   void drain();
+
+ private:
+  Socket fd_;
+};
+
+// One-shot timer for a Poller-driven loop: a timerfd(2) on CLOCK_MONOTONIC —
+// the clock std::chrono::steady_clock reads on Linux — that turns readable
+// once `due` has passed (immediately if it already has).
+class TimerFd {
+ public:
+  explicit TimerFd(std::chrono::steady_clock::time_point due);
+  int fd() const { return fd_.fd(); }
 
  private:
   Socket fd_;

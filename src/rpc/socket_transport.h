@@ -319,8 +319,8 @@ class SocketTransport final : public Transport {
     // down), and death messages are exactly where the address matters.
     std::string peer;
     // One in-flight request/response per connection: stages of different
-    // pipelined requests may address the same node from different scheduler
-    // threads.
+    // requests may address the same node from different threads (concurrent
+    // infer() callers).
     std::mutex mutex;
     // Cached kConfig body for replay after reconnect.
     std::vector<std::uint8_t> config_body;

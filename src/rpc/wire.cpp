@@ -68,10 +68,14 @@ void WireWriter::f32_raw(const float* values, std::size_t count) {
 
 // --- WireReader --------------------------------------------------------------
 
-const std::uint8_t* WireReader::need(std::size_t n, const char* what) {
+void WireReader::require(std::size_t n, const char* what) const {
   if (n > remaining())
     throw WireError(std::string(what) + ": truncated (" + std::to_string(n) + " bytes needed, " +
                     std::to_string(remaining()) + " remain)");
+}
+
+const std::uint8_t* WireReader::need(std::size_t n, const char* what) {
+  require(n, what);
   const std::uint8_t* at = bytes_.data() + pos_;
   pos_ += n;
   return at;
@@ -120,6 +124,7 @@ std::vector<float> WireReader::f32_array() {
   const std::uint64_t count = u64();
   if (count > kMaxBlobBytes / sizeof(float))
     throw WireError("float array of " + std::to_string(count) + " elements exceeds wire limit");
+  require(count * sizeof(float), "float array");
   std::vector<float> values(static_cast<std::size_t>(count));
   f32_raw(values.data(), values.size());
   return values;
@@ -177,6 +182,7 @@ dnn::Tensor decode_tensor(WireReader& r) {
   const std::int64_t elements = std::int64_t{c} * h * w;
   if (elements > kMaxTensorElements)
     throw WireError("tensor: " + std::to_string(elements) + " elements exceeds wire limit");
+  r.require(static_cast<std::size_t>(elements) * sizeof(float), "tensor");
   dnn::Tensor tensor(dnn::Shape{c, h, w});
   r.f32_raw(tensor.data(), tensor.size());
   return tensor;

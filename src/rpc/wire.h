@@ -106,15 +106,18 @@ class WireReader {
   void f32_raw(float* out, std::size_t count);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
+  // Throws WireError("<what>: truncated") unless `n` more bytes remain,
+  // consuming nothing. Decoders call it before allocating for a declared
+  // length, so a lying header costs only the bytes actually received.
+  void require(std::size_t n, const char* what) const;
   // The rest of the buffer as a span (consumes it).
   std::span<const std::uint8_t> rest();
   // Throws WireError if any bytes remain: decoders never accept trailers.
   void expect_end(const char* what) const;
 
  private:
-  // Advances past `n` bytes, throwing WireError("<what>: truncated") if fewer
-  // remain. Every read funnels through here — there is no way to read past the
-  // end of the buffer.
+  // Advances past `n` bytes after require(). Every read funnels through here —
+  // there is no way to read past the end of the buffer.
   const std::uint8_t* need(std::size_t n, const char* what);
 
   std::span<const std::uint8_t> bytes_;

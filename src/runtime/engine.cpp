@@ -8,6 +8,7 @@
 
 #include "core/vsm_executor.h"
 #include "exec/executor.h"
+#include "rpc/socket.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "runtime/request_journal.h"
@@ -129,66 +130,13 @@ OnlineEngine::OnlineEngine(const dnn::Network& net, const exec::WeightStore& wei
     };
 }
 
-namespace {
-
-// Shared by begin() (which owns a copy of the input) and infer() (which
-// borrows the caller's tensor for its synchronous run). With `admission`,
-// the per-node kBegin broadcast is issued as pipelined sends instead of
-// awaited (start_async parks on the handles); without, it blocks.
-std::unique_ptr<OnlineEngine::RequestState> make_state(
-    const dnn::Network& net, const std::shared_ptr<rpc::Transport>& transport,
-    bool retry_open, std::vector<rpc::Transport::OpHandle>* admission = nullptr) {
-  auto state = std::make_unique<OnlineEngine::RequestState>();
-  state->outputs.resize(net.num_layers());
-  state->computed.assign(net.num_layers(), false);
-  state->sent.assign(net.num_layers() + 1, {false, false, false});
-  state->shipped.assign(net.num_layers() + 1, {false, false, false});
-  const auto open = [&] {
-    return admission ? transport->issue_open_request(*admission)
-                     : transport->open_request();
-  };
-  try {
-    state->rpc_request = open();
-  } catch (const rpc::ChannelDied& died) {
-    // A worker killed between requests surfaces here, on the first kBegin to
-    // touch it. With the channel re-established and kBegin idempotent, a
-    // second open is exactly a fresh start. A tile shard that cannot come
-    // back is pruned instead — the survivors absorb its tiles and the retried
-    // broadcast skips it (mirroring recover()'s mid-request tile branch).
-    if (!retry_open) throw;
-    if (!died.channel_restored() &&
-        (transport->prune_tile_workers() == 0 || !transport->has_tile_workers()))
-      throw;
-    // Handles from the failed issue are dropped: the aborted id got its kEnd,
-    // and per-channel FIFO retires the orphaned replies under later traffic.
-    if (admission) admission->clear();
-    state->rpc_request = open();
-  }
-  state->rpc_guard =
-      std::make_unique<OnlineEngine::RpcRequestGuard>(transport, state->rpc_request);
-  return state;
-}
-
-}  // namespace
-
-std::unique_ptr<OnlineEngine::RequestState> OnlineEngine::begin(const dnn::Tensor& input) const {
-  if (!(input.shape() == net_.input_shape()))
-    throw std::invalid_argument("OnlineEngine: input shape mismatch");
-  auto state = make_state(net_, transport_, options_.tier_recovery);
-  state->owned_input = input;
-  state->input = &state->owned_input;
-  seed_input(*state);
-  checkpoint(*state, 0);
-  return state;
-}
-
 void OnlineEngine::checkpoint(RequestState& state, int next_stage) const {
   if (!options_.journal) return;
   Snapshot s;
   s.rpc_request = state.rpc_request;
   s.plan_hash = plan_hash_;
   s.next_stage = next_stage;
-  s.input = rpc::encode_tensor(*state.input);
+  s.input = rpc::encode_tensor(state.input);
   s.messages = state.result.messages;
   s.device_edge_bytes = state.result.device_edge_bytes;
   s.edge_cloud_bytes = state.result.edge_cloud_bytes;
@@ -212,18 +160,6 @@ bool OnlineEngine::try_recover(RequestState& state, const rpc::ChannelDied& died
   return true;
 }
 
-void OnlineEngine::seed_input(RequestState& state) const {
-  // The raw frame originates on the device node; no inter-node message is
-  // involved, so a remote device tier receives it as a seed, not a send. A
-  // device node dying right here is recoverable on the spot: recover()
-  // re-seeds slot 0 into the fresh incarnation.
-  try {
-    transport_->seed(state.rpc_request, node_of(core::Tier::kDevice), 0, *state.input);
-  } catch (const rpc::ChannelDied& died) {
-    if (!try_recover(state, died)) throw;
-  }
-}
-
 const dnn::Tensor* OnlineEngine::resolve_input(RequestState& state, dnn::LayerId producer,
                                                core::Tier at) const {
   const std::size_t slot = producer == dnn::kNetworkInput ? 0 : producer + 1;
@@ -231,7 +167,7 @@ const dnn::Tensor* OnlineEngine::resolve_input(RequestState& state, dnn::LayerId
     auto& wired = state.delivered[slot][static_cast<std::size_t>(core::index(at))];
     if (wired) return &*wired;
   }
-  return producer == dnn::kNetworkInput ? state.input : &materialize(state, producer);
+  return producer == dnn::kNetworkInput ? &state.input : &materialize(state, producer);
 }
 
 rpc::Transport::OpHandle OnlineEngine::fetch_output(RequestState& state,
@@ -432,6 +368,22 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
 
 namespace {
 
+// Emulated tier service as an issued op, complete once `due` passes. Its
+// timerfd turns readable at `due` too, so a readiness-driven caller parks on
+// it like on a wire reply; a blocking caller's wait() sleeps until `due`.
+class ServiceTimer final : public rpc::Transport::AsyncOp {
+ public:
+  explicit ServiceTimer(std::chrono::steady_clock::time_point due) : due_(due), timer_(due) {}
+  bool poll() override { return settled(); }
+  void wait() override { std::this_thread::sleep_until(due_); }
+  bool settled() const override { return std::chrono::steady_clock::now() >= due_; }
+  int fd() override { return timer_.fd(); }
+
+ private:
+  std::chrono::steady_clock::time_point due_;
+  rpc::TimerFd timer_;
+};
+
 // Applies the success effect of every completed op, then rethrows the first
 // failure. Each op must have completed (polled true, or waited on).
 void settle(std::vector<rpc::Transport::OpHandle>& ops,
@@ -537,7 +489,7 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
       }
     }
     record_once();
-    const dnn::Tensor& source = is_input ? *state.input : state.outputs[producer];
+    const dnn::Tensor& source = is_input ? state.input : state.outputs[producer];
     const auto source_bytes = static_cast<std::uint64_t>(source.shape().bytes());
     in_flight[slot][to_idx] = true;
     queue(transport_->issue_send(state.rpc_request, meta, slot, source),
@@ -626,38 +578,19 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
   return true;
 }
 
-void OnlineEngine::drive_tier(RequestState& state, core::Tier tier) const {
-  std::vector<rpc::Transport::OpHandle> ops;
-  std::vector<OpEffect> effects;
-  for (bool walked = false; !walked;) {
-    walked = walk_tier(state, tier, ops, effects);
-    for (rpc::Transport::OpHandle& op : ops) op.wait();
-    settle(ops, effects);
+rpc::Transport::OpHandle OnlineEngine::book_service(core::Tier tier) const {
+  const auto t = static_cast<std::size_t>(core::index(tier));
+  const double service = options_.emulated_tier_service_seconds[t];
+  if (service <= 0.0) return {};
+  const Clock::time_point now = Clock::now();
+  Clock::time_point due;
+  {
+    std::lock_guard<std::mutex> lock(service_mutex_);
+    due = std::max(now, tier_free_at_[t]) +
+          std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(service));
+    tier_free_at_[t] = due;
   }
-}
-
-void OnlineEngine::run_tier(RequestState& state, core::Tier tier) const {
-  const double service =
-      options_.emulated_tier_service_seconds[static_cast<std::size_t>(core::index(tier))];
-  if (service > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(service));
-
-  // The recovery loop around the tier walk: a node that lost its per-request
-  // state mid-walk (rpc::ChannelDied) is rebuilt by recover() and the walk
-  // re-entered — `computed`, `sent`, `shipped` and the VSM record flags make
-  // the re-entry resume exactly where the fault hit, re-running only what the
-  // dead node lost. Bounded by max_recovery_attempts per request.
-  for (;;) {
-    try {
-      drive_tier(state, tier);
-      break;
-    } catch (const rpc::ChannelDied& died) {
-      if (!try_recover(state, died)) throw;
-    }
-  }
-  // A restored request's first completed tier IS the interrupted one (resume
-  // starts there): past it, deliveries are ordinary again.
-  state.restored = false;
-  checkpoint(state, core::index(tier) + 1);
+  return rpc::Transport::OpHandle(std::make_shared<ServiceTimer>(due));
 }
 
 bool OnlineEngine::recover(RequestState& state, const rpc::ChannelDied& died) const {
@@ -768,7 +701,7 @@ bool OnlineEngine::recover(RequestState& state, const rpc::ChannelDied& died) co
   //    node go back only when still needed.
   if ((*tier == core::Tier::kDevice && (input_needed_on_node || input_needed_from_device)) ||
       (state.shipped[0][t] && input_needed_on_node))
-    reseed(0, *state.input);
+    reseed(0, state.input);
   for (dnn::LayerId id = 0; id < net_.num_layers(); ++id) {
     const std::uint64_t slot = id + 1;
     if (state.shipped[slot][t]) {
@@ -795,59 +728,47 @@ OnlineEngine::Stats OnlineEngine::stats() const {
           tensors_reseeded_.load(), recovery_bytes_.load()};
 }
 
-InferenceResult OnlineEngine::finish(std::unique_ptr<RequestState> state) const {
-  // The final layer may have run on a remote node with no boundary ever
-  // pulling it back; materialise it now, while the request is still open. A
-  // node death here is as recoverable as anywhere: rebuild the lost state and
-  // re-run the cloud-stage walk (which covers every tier's pending layers)
-  // before fetching again.
-  bool rerun = false;
-  for (;;) {
-    try {
-      if (rerun) {
-        rerun = false;
-        drive_tier(*state, core::Tier::kCloud);
-      }
-      materialize(*state, net_.num_layers() - 1);
-      break;
-    } catch (const rpc::ChannelDied& died) {
-      if (!try_recover(*state, died)) throw;
-      rerun = true;
-    }
-  }
-  if (options_.journal) options_.journal->finish(state->rpc_request);
-  InferenceResult result = std::move(state->result);
-  result.output = std::move(state->outputs.back());
-  return result;
-}
-
 OnlineEngine::Continuation OnlineEngine::start(const dnn::Tensor& input) const {
-  Continuation c;
-  c.state_ = begin(input);
-  return c;
-}
-
-OnlineEngine::Continuation OnlineEngine::start_async(const dnn::Tensor& input) const {
   if (!(input.shape() == net_.input_shape()))
     throw std::invalid_argument("OnlineEngine: input shape mismatch");
   Continuation c;
-  std::vector<rpc::Transport::OpHandle> admission;
-  c.state_ = make_state(net_, transport_, options_.tier_recovery, &admission);
+  c.state_ = std::make_unique<RequestState>();
   RequestState& state = *c.state_;
-  state.owned_input = input;
-  state.input = &state.owned_input;
+  state.input = input;
+  state.outputs.resize(net_.num_layers());
+  state.computed.assign(net_.num_layers(), false);
+  state.sent.assign(net_.num_layers() + 1, {false, false, false});
+  state.shipped.assign(net_.num_layers() + 1, {false, false, false});
   try {
+    state.rpc_request = transport_->issue_open_request(c.ops_);
+  } catch (const rpc::ChannelDied& died) {
+    // A worker killed between requests surfaces here, on the first kBegin to
+    // touch it. With the channel re-established and kBegin idempotent, a
+    // second open is exactly a fresh start. A tile shard that cannot come
+    // back is pruned instead — the survivors absorb its tiles and the retried
+    // broadcast skips it (mirroring recover()'s mid-request tile branch).
+    if (!options_.tier_recovery) throw;
+    if (!died.channel_restored() &&
+        (transport_->prune_tile_workers() == 0 || !transport_->has_tile_workers()))
+      throw;
+    // Handles from the failed issue are dropped: the aborted id got its kEnd,
+    // and per-channel FIFO retires the orphaned replies under later traffic.
+    c.ops_.clear();
+    state.rpc_request = transport_->issue_open_request(c.ops_);
+  }
+  state.rpc_guard = std::make_unique<RpcRequestGuard>(transport_, state.rpc_request);
+  try {
+    // The raw frame originates on the device node; no inter-node message is
+    // involved, so a remote device tier receives it as a seed, not a send.
     // Queued behind the device node's kBegin (per-channel FIFO), so the seed
     // lands on an open request even though neither has settled yet.
-    admission.push_back(transport_->issue_seed(
-        state.rpc_request, node_of(core::Tier::kDevice), 0, *state.input));
+    c.ops_.push_back(
+        transport_->issue_seed(state.rpc_request, node_of(core::Tier::kDevice), 0, state.input));
   } catch (const rpc::ChannelDied& died) {
     // recover() re-begins the request and re-seeds slot 0 on the fresh
     // incarnation, so a successful recovery needs no re-issue here.
     if (!try_recover(state, died)) throw;
   }
-  checkpoint(state, 0);
-  c.ops_ = std::move(admission);
   c.effects_.resize(c.ops_.size());
   c.phase_ = Continuation::Phase::kAdmitting;
   return c;
@@ -862,10 +783,9 @@ OnlineEngine::Continuation OnlineEngine::restore(const Snapshot& snapshot) const
       snapshot.shipped.size() != net_.num_layers() + 1)
     throw std::invalid_argument("OnlineEngine: snapshot does not match the network");
   auto state = std::make_unique<RequestState>();
-  state->owned_input = rpc::decode_tensor(std::span<const std::uint8_t>(snapshot.input));
-  if (!(state->owned_input.shape() == net_.input_shape()))
+  state->input = rpc::decode_tensor(std::span<const std::uint8_t>(snapshot.input));
+  if (!(state->input.shape() == net_.input_shape()))
     throw std::invalid_argument("OnlineEngine: snapshot input shape mismatch");
-  state->input = &state->owned_input;
   state->outputs.resize(net_.num_layers());
   state->computed = snapshot.computed;
   state->sent = snapshot.sent;
@@ -901,63 +821,47 @@ void OnlineEngine::abandon(Continuation&& c) const {
 }
 
 bool OnlineEngine::step(Continuation& c) const {
-  if (c.done()) throw std::logic_error("OnlineEngine: step() on a finished continuation");
-  if (c.next_ < 3) {
-    run_tier(*c.state_, c.next_tier());
-  } else {
-    c.result_ = finish(std::move(c.state_));
-  }
-  // Past the throw: a failed stage leaves the cursor (and for tier stages the
-  // state) untouched, so the caller decides between retrying and replaying.
-  ++c.next_;
+  // Past a throw the cursor is untouched, so the caller decides between
+  // retrying and replaying.
+  const int stage = c.next_;
+  while (c.next_ == stage)
+    if (step_async(c) == StepStatus::kParked)
+      for (rpc::Transport::OpHandle& op : c.ops_) op.wait();
   return c.done();
 }
 
 OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
-  if (c.done())
-    throw std::logic_error("OnlineEngine: step_async() on a finished continuation");
-  if (c.next_ >= 3) {
-    // Collect stage: the one remaining round-trip is the final-output fetch,
-    // so issue it and park rather than stall the caller's thread on it.
-    // Completion errors are deliberately left unhandled here: the output slot
-    // stays empty and blocking finish() re-fetches it under its recovery
-    // loop, keeping collect-time recovery in one place.
-    RequestState& state = *c.state_;
-    const auto last = static_cast<dnn::LayerId>(net_.num_layers() - 1);
-    if (c.phase_ != Continuation::Phase::kCollecting) {
-      c.phase_ = Continuation::Phase::kCollecting;
-      try {
-        if (rpc::Transport::OpHandle op = fetch_output(state, last))
-          c.ops_.push_back(std::move(op));
-      } catch (const rpc::ChannelDied&) {
-        // finish() owns collect-time recovery; re-entering it re-fetches.
-      }
-    }
-    for (auto& op : c.ops_) {
-      if (!op.poll()) return StepStatus::kParked;
-      if (!op.error() && op.tensor()) state.outputs[last] = std::move(*op.tensor());
-    }
-    c.ops_.clear();
-    c.result_ = finish(std::move(c.state_));
-    ++c.next_;
-    return StepStatus::kDone;
-  }
+  if (c.done()) throw std::logic_error("OnlineEngine: step on a finished continuation");
   RequestState& state = *c.state_;
-  const core::Tier tier = c.next_tier();
+  // The collect stage re-walks the cloud tier — a no-op unless recovery
+  // un-marked layers — before fetching the final output.
+  const bool collect = c.next_ == Continuation::kStageCount - 1;
+  const core::Tier tier = collect ? core::Tier::kCloud : c.next_tier();
+  const auto last = static_cast<dnn::LayerId>(net_.num_layers() - 1);
   for (;;) {
     if (c.phase_ == Continuation::Phase::kStart) {
-      // Emulated tier latency is paid once per stage, like run_tier's: a
-      // re-walk (relay fetch, recovery) must not re-sleep.
-      if (c.slept_stage_ != c.next_) {
+      // Emulated tier latency is booked once per stage, before the walk: a
+      // re-walk (relay fetch, recovery) must not pay it again.
+      if (!collect && c.slept_stage_ != c.next_) {
         c.slept_stage_ = c.next_;
-        const double service =
-            options_
-                .emulated_tier_service_seconds[static_cast<std::size_t>(core::index(tier))];
-        if (service > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(service));
+        if (rpc::Transport::OpHandle timer = book_service(tier)) {
+          c.ops_.push_back(std::move(timer));
+          c.effects_.emplace_back();
+          c.walked_ = false;
+          c.phase_ = Continuation::Phase::kSettling;
+          continue;
+        }
       }
       try {
         c.walked_ = walk_tier(state, tier, c.ops_, c.effects_);
+        if (c.walked_ && collect) {
+          if (rpc::Transport::OpHandle op = fetch_output(state, last)) {
+            c.ops_.push_back(std::move(op));
+            c.effects_.push_back([&state, last](rpc::Transport::OpHandle& fetched) {
+              state.outputs[last] = std::move(*fetched.tensor());
+            });
+          }
+        }
       } catch (const rpc::ChannelDied& died) {
         // Ops already issued stay queued on their (healthy) channels; FIFO
         // drains retire them under whoever touches those channels next, and
@@ -971,24 +875,41 @@ OnlineEngine::StepStatus OnlineEngine::step_async(Continuation& c) const {
       c.phase_ = Continuation::Phase::kSettling;
     }
 
-    // kAdmitting / kSettling: park until every issued op's reply lands.
+    // kAdmitting / kSettling: park until every issued op completes.
     bool all = true;
     for (auto& op : c.ops_)
       if (!op.poll()) all = false;
     if (!all) return StepStatus::kParked;
+    const bool admitting = c.phase_ == Continuation::Phase::kAdmitting;
     c.phase_ = Continuation::Phase::kStart;
     try {
       settle(c.ops_, c.effects_);
     } catch (const rpc::ChannelDied& died) {
-      // recover() rebuilds the lost node's state (after admission: re-begins
+      // recover() rebuilds the lost node's state (during admission: re-begins
       // the request and re-seeds the input), and the re-entered walk resumes
       // where the fault hit.
       if (!try_recover(state, died)) throw;
-      return StepStatus::kReady;
+      if (!admitting) return StepStatus::kReady;
     }
-    if (!c.walked_) continue;  // admission done, or the pass ended on a fetch
+    if (admitting) {
+      // Journalled only now: a stage-0 snapshot means every node
+      // acknowledged kBegin and the device holds the seed.
+      checkpoint(state, 0);
+      continue;
+    }
+    if (!c.walked_) continue;  // the service timer fired, or the pass ended on a fetch
+    if (collect) {
+      if (options_.journal) options_.journal->finish(state.rpc_request);
+      c.result_ = std::move(state.result);
+      c.result_.output = std::move(state.outputs[last]);
+      c.state_.reset();  // closes the transport-side request
+      ++c.next_;
+      return StepStatus::kDone;
+    }
+    // A restored request's first completed tier IS the interrupted one (resume
+    // starts there): past it, deliveries are ordinary again.
     state.restored = false;
-    checkpoint(state, core::index(tier) + 1);
+    checkpoint(state, c.next_ + 1);
     ++c.next_;
     return StepStatus::kReady;
   }
@@ -1000,18 +921,10 @@ InferenceResult OnlineEngine::take(Continuation&& c) const {
 }
 
 InferenceResult OnlineEngine::infer(const dnn::Tensor& input) const {
-  if (!(input.shape() == net_.input_shape()))
-    throw std::invalid_argument("OnlineEngine: input shape mismatch");
-  // Borrow the caller's tensor: the three stages run synchronously while the
-  // caller's reference is pinned, so no per-request input copy is needed.
-  auto state = make_state(net_, transport_, options_.tier_recovery);
-  state->input = &input;
-  seed_input(*state);
-  checkpoint(*state, 0);
-  run_tier(*state, core::Tier::kDevice);
-  run_tier(*state, core::Tier::kEdge);
-  run_tier(*state, core::Tier::kCloud);
-  return finish(std::move(state));
+  Continuation c = start(input);
+  while (!step(c)) {
+  }
+  return take(std::move(c));
 }
 
 }  // namespace d3::runtime

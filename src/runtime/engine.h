@@ -52,18 +52,21 @@
 // and their scatter messages recorded in tile order *before* the parallel
 // region, only the pure per-tile compute runs concurrently, and gather messages
 // plus output assembly happen in tile order *after* the join. The engine itself
-// is immutable after construction, so any number of threads may call infer()
-// concurrently (they share the tile pool); the staged API (begin / run_tier /
-// finish) is what runtime::BatchScheduler uses to pipeline several in-flight
-// requests across the tiers.
+// is immutable after construction (bar the emulated tier-service slots, which
+// a mutex guards), so any number of threads may call infer() concurrently
+// (they share the tile pool); the continuation API (start / step_async /
+// take) is what runtime::ServingReactor uses to pipeline several in-flight
+// requests across the tiers from one thread.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,6 +105,8 @@ struct InferenceResult {
 };
 
 class OnlineEngine {
+  struct RequestState;  // a Continuation's per-request state (defined below)
+
  public:
   struct Options {
     // Number of pool threads computing VSM tiles concurrently (the edge worker
@@ -122,9 +127,13 @@ class OnlineEngine {
     // unaffected. Applies to locally-hosted tiles only (a remote edge node's
     // service time is real, not emulated).
     double emulated_tile_service_seconds = 0.0;
-    // Emulated per-stage service latency (seconds) added by run_tier for
-    // [device, edge, cloud] — the stage actor's fixed overhead (network stack,
-    // queueing) that tier pipelining overlaps across in-flight requests.
+    // Emulated per-stage service latency (seconds) for [device, edge, cloud]
+    // — the stage actor's fixed overhead (network stack, queueing) that tier
+    // pipelining overlaps across in-flight requests. Each tier is one node
+    // serving one request at a time, so a stage books its tier's next free
+    // service slot before its walk (due = max(now, tier free at) + service)
+    // and waits for it as a timer op: a blocking step() sleeps until `due`, a
+    // readiness-driven caller parks on the timer's fd like on a wire reply.
     std::array<double, 3> emulated_tier_service_seconds{0.0, 0.0, 0.0};
     // Message fabric between the computation nodes. nullptr = the shared
     // zero-copy InProcessTransport (the original engine behaviour).
@@ -144,8 +153,9 @@ class OnlineEngine {
     // Faults survived per request before the ChannelDied propagates.
     std::size_t max_recovery_attempts = 3;
     // Write-ahead request journal for coordinator failover: non-null makes the
-    // engine checkpoint every request after seeding and after each completed
-    // tier, and mark it finished on finish(). A standby coordinator (same
+    // engine checkpoint every request once its admission (kBegin + input
+    // seed) has settled and after each completed tier, and mark it finished
+    // when the collect stage completes. A standby coordinator (same
     // plan, workers surviving in listen mode) then restore()s the unfinished
     // snapshots and resumes them, re-running only the interrupted tier.
     std::shared_ptr<RequestJournal> journal = nullptr;
@@ -160,8 +170,171 @@ class OnlineEngine {
     std::uint64_t recovery_bytes = 0;    // tensor bytes re-moved by re-seeds
   };
 
-  // Closes the transport-side request state when a request dies, however it
-  // dies (finish(), scheduler error paths, abandoned states).
+  // `net` and `weights` must outlive the engine. The assignment must be
+  // Prop.-1 feasible; `vsm` (optional) must cover edge-assigned layers only.
+  // Throws std::invalid_argument on inconsistent plans.
+  OnlineEngine(const dnn::Network& net, const exec::WeightStore& weights,
+               core::Assignment assignment,
+               std::optional<core::FusedTilePlan> vsm = std::nullopt);
+  OnlineEngine(const dnn::Network& net, const exec::WeightStore& weights,
+               core::Assignment assignment, std::optional<core::FusedTilePlan> vsm,
+               Options options);
+
+  // Runs one synergistic inference: the device node ingests `input`, the plan's
+  // tiers execute their partitions in stage order, and the final layer's output
+  // is returned together with the full message transcript. Thread-safe: may be
+  // called concurrently from any number of threads. Equivalent to start(), a
+  // step() loop, then take().
+  InferenceResult infer(const dnn::Tensor& input) const;
+
+  // Resumable continuation: one movable token bundling a request's state, a
+  // progress cursor, and the finished result, advanced one stage at a time by
+  // step() or step_async(). The stages are the three tiers in order plus a
+  // final collect stage, so a single thread can interleave thousands of
+  // requests by round-robining steps across their continuations. Outputs and
+  // transcripts are bitwise-identical to infer() regardless of how steps of
+  // different requests interleave.
+  class Continuation {
+   public:
+    static constexpr int kStageCount = 4;  // device, edge, cloud, collect
+    Continuation(Continuation&&) noexcept = default;
+    Continuation& operator=(Continuation&&) noexcept = default;
+
+    int next_stage() const { return next_; }
+    bool done() const { return next_ == kStageCount; }
+    // The tier the next step() executes; only valid before the collect stage.
+    core::Tier next_tier() const { return static_cast<core::Tier>(next_); }
+
+    // Introspection for readiness-driven schedulers (step_async).
+    // True when every outstanding op has completed (no syscalls); a parked
+    // continuation whose ops are all settled can be resumed without waiting
+    // for fd readability.
+    bool ops_settled() const {
+      for (const auto& op : ops_)
+        if (!op.settled()) return false;
+      return true;
+    }
+    // Unsettled ops (a reply still on the wire, or an emulated-service timer
+    // not yet due) — the reactor's outstanding-ops gauge.
+    std::size_t ops_outstanding() const {
+      std::size_t n = 0;
+      for (const auto& op : ops_)
+        if (!op.settled()) ++n;
+      return n;
+    }
+    // Fds the outstanding ops wait on (channel sockets, timer fds),
+    // deduplicated. May flush frames still sitting in a channel outbox — a
+    // parked stage's requests must be on the wire before readiness of these
+    // fds means anything.
+    std::vector<int> pending_fds() {
+      std::vector<int> fds;
+      for (auto& op : ops_) {
+        if (op.settled()) continue;
+        const int fd = op.fd();
+        if (fd < 0) continue;
+        if (std::find(fds.begin(), fds.end(), fd) == fds.end()) fds.push_back(fd);
+      }
+      return fds;
+    }
+
+   private:
+    friend class OnlineEngine;
+    Continuation() = default;
+    std::unique_ptr<RequestState> state_;
+    InferenceResult result_;
+    int next_ = 0;
+    // step_async's per-stage phase machine (documented there).
+    enum class Phase { kAdmitting, kStart, kSettling };
+    Phase phase_ = Phase::kStart;
+    bool walked_ = false;   // the last walk_tier pass covered the whole tier
+    int slept_stage_ = -1;  // emulated tier latency booked once per stage
+    std::vector<rpc::Transport::OpHandle> ops_;
+    // Parallel to ops_: success-side state mutation for each op (mark
+    // shipped, store a wired copy or a fetched output), applied only after
+    // the op completes.
+    std::vector<std::function<void(rpc::Transport::OpHandle&)>> effects_;
+  };
+
+  // Admits one request: copies `input` into the state and *issues* the
+  // admission round-trips (the per-node kBegin broadcast and the device input
+  // seed) as pipelined sends; the first step parks on them. Throws
+  // std::invalid_argument on input shape mismatch.
+  Continuation start(const dnn::Tensor& input) const;
+  // Rebuilds an in-flight request from a journal snapshot, for a standby
+  // coordinator taking over after the primary died. Re-opens the journalled
+  // request id on the transport (the workers' per-request slots survive the
+  // primary in listen mode; kBegin is idempotent) and returns a continuation
+  // positioned at the interrupted stage — step() it to completion exactly like
+  // a fresh start(). Requires every tier node to be remote on the transport
+  // (lost coordinator-local outputs are only re-fetchable from workers) and
+  // the same deployment plan: a plan-hash mismatch throws
+  // std::invalid_argument.
+  Continuation restore(const Snapshot& snapshot) const;
+  // Drops a continuation WITHOUT closing the transport-side request (no kEnd):
+  // the workers keep their slots and the journal keeps its snapshots, exactly
+  // the state a dead coordinator leaves behind. This is the in-process way to
+  // exercise (and benchmark) the failover path: abandon mid-request, then
+  // restore() from the journal.
+  void abandon(Continuation&& c) const;
+
+  // Runs the continuation's next stage on the calling thread: step_async(),
+  // waiting on the parked ops, until the cursor advances. Returns done()
+  // afterwards. A stage that throws (transport death past the recovery
+  // budget) leaves the cursor where it was — the caller replays from a fresh
+  // start() or propagates.
+  bool step(Continuation& c) const;
+
+  // Non-blocking step for readiness-driven schedulers — the engine's one
+  // stage driver (step() is a wait loop around it). It runs the stage's tier
+  // walk (walk_tier), which issues the tier's remote verbs — boundary puts,
+  // run-layer/run-stack, a relay's fetch — on their channels (coalesced into
+  // pipelined writes) without waiting, and parks on them:
+  //
+  //   kAdmitting once start()'s kBegin broadcast and input seed settle,
+  //              journal stage 0;
+  //   kStart     book the stage's emulated-service timer (once per stage, and
+  //              park on it), then walk the tier, issuing its remote verbs;
+  //   kSettling  once every issued op's reply lands, apply the success effects
+  //              (shipped flags, wired copies, fetched outputs), recover from
+  //              any channel death, then either walk again (the timer fired,
+  //              or the pass ended on a relay fetch) or checkpoint and advance
+  //              to the next stage.
+  //
+  // The collect stage runs the same machine: it re-walks the cloud tier (a
+  // no-op unless recovery un-marked layers) and then fetches the final
+  // output, so a node death there recovers like anywhere else.
+  //
+  // kParked means outstanding ops are unsettled: the caller should wait for
+  // readability on Continuation::pending_fds() (or sweep ops_settled()) and
+  // call step_async again — the reactor keeps serving other requests
+  // meanwhile, which is what overlaps wire wait (and emulated service) with
+  // compute. kReady means call again now. On transports whose issue_* verbs
+  // complete synchronously (in-process, loopback, decorators) every wire op
+  // settles at issue. Throws like step(); the cursor semantics on throw are
+  // identical.
+  enum class StepStatus { kDone, kReady, kParked };
+  StepStatus step_async(Continuation& c) const;
+
+  // Extracts the result of a done() continuation.
+  InferenceResult take(Continuation&& c) const;
+
+  // Width of the VSM tile stage: the number of emulated edge worker nodes
+  // tiles may occupy concurrently (0 = sequential tile loop). The shared pool
+  // may be larger when intra_op_workers exceeds this; tile execution is still
+  // capped at this width.
+  std::size_t vsm_workers() const { return options_.vsm_workers; }
+  const core::Assignment& assignment() const { return assignment_; }
+  const std::optional<core::FusedTilePlan>& vsm_plan() const { return vsm_; }
+  const dnn::Network& network() const { return net_; }
+  const std::shared_ptr<rpc::Transport>& transport() const { return transport_; }
+  Stats stats() const;
+
+ private:
+  using OpEffect = std::function<void(rpc::Transport::OpHandle&)>;
+  using Clock = std::chrono::steady_clock;
+
+  // Closes the transport-side request state when a request ends, however it
+  // ends (the collect stage, or a continuation torn down mid-flight).
   struct RpcRequestGuard {
     RpcRequestGuard(std::shared_ptr<rpc::Transport> transport, std::uint64_t id);
     ~RpcRequestGuard();
@@ -172,17 +345,13 @@ class OnlineEngine {
     std::uint64_t id = 0;
   };
 
-  // Mutable per-request execution state. Created by begin(); opaque to callers
-  // except as a token passed through run_tier()/finish(). One request's stages
-  // must run in tier order and never concurrently with each other, but distinct
-  // requests' states are fully independent.
+  // Mutable per-request execution state, owned by a Continuation. One
+  // request's stages run in order and never concurrently with each other, but
+  // distinct requests' states are fully independent.
   struct RequestState {
-    // The request input: begin() copies it into `owned_input` (the caller's
-    // tensor may die before later stages run on other threads), while the
-    // synchronous infer() path just borrows the caller's tensor — `input`
-    // points at whichever holds it.
-    dnn::Tensor owned_input;
-    const dnn::Tensor* input = nullptr;
+    // The request input, copied in by start() (the caller's tensor may die
+    // before later stages run).
+    dnn::Tensor input;
     InferenceResult result;
     std::vector<dnn::Tensor> outputs;   // per layer, filled as stages run
     std::vector<bool> computed;
@@ -215,188 +384,6 @@ class OnlineEngine {
     std::unique_ptr<RpcRequestGuard> rpc_guard;
   };
 
-  // `net` and `weights` must outlive the engine. The assignment must be
-  // Prop.-1 feasible; `vsm` (optional) must cover edge-assigned layers only.
-  // Throws std::invalid_argument on inconsistent plans.
-  OnlineEngine(const dnn::Network& net, const exec::WeightStore& weights,
-               core::Assignment assignment,
-               std::optional<core::FusedTilePlan> vsm = std::nullopt);
-  OnlineEngine(const dnn::Network& net, const exec::WeightStore& weights,
-               core::Assignment assignment, std::optional<core::FusedTilePlan> vsm,
-               Options options);
-
-  // Runs one synergistic inference: the device node ingests `input`, the plan's
-  // tiers execute their partitions in stage order, and the final layer's output
-  // is returned together with the full message transcript. Thread-safe: may be
-  // called concurrently from any number of threads.
-  InferenceResult infer(const dnn::Tensor& input) const;
-
-  // Staged execution for pipelined schedulers. Typical use:
-  //   auto s = engine.begin(input);
-  //   engine.run_tier(*s, core::Tier::kDevice);   // on the device stage thread
-  //   engine.run_tier(*s, core::Tier::kEdge);     // on the edge stage thread
-  //   engine.run_tier(*s, core::Tier::kCloud);    // on the cloud stage thread
-  //   InferenceResult r = engine.finish(std::move(s));
-  // Throws std::invalid_argument on input shape mismatch.
-  // begin() copies `input` into the state so the request outlives the caller's
-  // tensor (the scheduler's stages run on other threads, later).
-  std::unique_ptr<RequestState> begin(const dnn::Tensor& input) const;
-  void run_tier(RequestState& state, core::Tier tier) const;
-  InferenceResult finish(std::unique_ptr<RequestState> state) const;
-
-  // Resumable continuation form of the staged API, for event-driven front
-  // ends (runtime::ServingReactor): one movable token bundling the request
-  // state, a progress cursor, and the finished result, advanced one stage at
-  // a time by step(). The stages are the three tiers in order plus a final
-  // collect stage (the finish() call), so a single thread can interleave
-  // thousands of requests by round-robining step() across their
-  // continuations. Each step runs the same code as run_tier/finish —
-  // outputs and transcripts are bitwise-identical to the staged API and to
-  // infer() regardless of how steps of different requests interleave.
-  class Continuation {
-   public:
-    static constexpr int kStageCount = 4;  // device, edge, cloud, collect
-    Continuation(Continuation&&) noexcept = default;
-    Continuation& operator=(Continuation&&) noexcept = default;
-
-    int next_stage() const { return next_; }
-    bool done() const { return next_ == kStageCount; }
-    // The tier the next step() executes; only valid before the collect stage.
-    core::Tier next_tier() const { return static_cast<core::Tier>(next_); }
-    // The request input (the copy taken by start()); valid until the collect
-    // stage consumes the state — callers that may replay end-to-end keep
-    // their own copy.
-    const dnn::Tensor& input() const { return state_->owned_input; }
-
-    // Async-walk introspection for readiness-driven schedulers (step_async).
-    // True when every outstanding async op has its reply drained (no
-    // syscalls); a parked continuation whose ops are all settled can be
-    // resumed without waiting for fd readability.
-    bool ops_settled() const {
-      for (const auto& op : ops_)
-        if (!op.settled()) return false;
-      return true;
-    }
-    // Unsettled async ops (reply still on the wire) — the reactor's
-    // outstanding-ops gauge.
-    std::size_t ops_outstanding() const {
-      std::size_t n = 0;
-      for (const auto& op : ops_)
-        if (!op.settled()) ++n;
-      return n;
-    }
-    // Socket fds the outstanding ops wait on, deduplicated. May flush frames
-    // still sitting in a channel outbox — a parked stage's requests must be on
-    // the wire before readiness of these fds means anything.
-    std::vector<int> pending_fds() {
-      std::vector<int> fds;
-      for (auto& op : ops_) {
-        if (op.settled()) continue;
-        const int fd = op.fd();
-        if (fd < 0) continue;
-        if (std::find(fds.begin(), fds.end(), fd) == fds.end()) fds.push_back(fd);
-      }
-      return fds;
-    }
-
-   private:
-    friend class OnlineEngine;
-    Continuation() = default;
-    std::unique_ptr<RequestState> state_;
-    InferenceResult result_;
-    int next_ = 0;
-    // step_async per-tier phase machine: park until start_async's pipelined
-    // admission (kBegin broadcast + input seed) settles (kAdmitting), walk
-    // the tier, issuing its remote verbs (kStart), park until every issued op
-    // settles, apply their effects, then advance — or walk again when the
-    // pass ended on a relay fetch (kSettling). kCollecting parks the collect
-    // stage on its issued final-output fetch so even the last round-trip
-    // overlaps other requests' compute.
-    enum class Phase { kAdmitting, kStart, kSettling, kCollecting };
-    Phase phase_ = Phase::kStart;
-    bool walked_ = false;   // the last walk_tier pass covered the whole tier
-    int slept_stage_ = -1;  // emulated tier latency paid once per stage
-    std::vector<rpc::Transport::OpHandle> ops_;
-    // Parallel to ops_: success-side state mutation for each op (mark
-    // shipped, store a wired copy or a fetched output), applied only after
-    // the op completes.
-    std::vector<std::function<void(rpc::Transport::OpHandle&)>> effects_;
-  };
-
-  // begin() in continuation form: copies `input` into the state.
-  Continuation start(const dnn::Tensor& input) const;
-  // start() for readiness-driven schedulers: admission round-trips (the
-  // per-node kBegin broadcast and the device input seed) are *issued* as
-  // pipelined sends instead of awaited, and the returned continuation parks
-  // on them in its first step_async (Phase::kAdmitting). On transports
-  // without an async facade this degenerates to start(). Blocking step()
-  // must not drive a continuation made here until its admission has settled
-  // (step_async once); the reactor's readiness mode is the intended caller.
-  Continuation start_async(const dnn::Tensor& input) const;
-  // Rebuilds an in-flight request from a journal snapshot, for a standby
-  // coordinator taking over after the primary died. Re-opens the journalled
-  // request id on the transport (the workers' per-request slots survive the
-  // primary in listen mode; kBegin is idempotent) and returns a continuation
-  // positioned at the interrupted stage — step() it to completion exactly like
-  // a fresh start(). Requires every tier node to be remote on the transport
-  // (lost coordinator-local outputs are only re-fetchable from workers) and
-  // the same deployment plan: a plan-hash mismatch throws
-  // std::invalid_argument.
-  Continuation restore(const Snapshot& snapshot) const;
-  // Drops a continuation WITHOUT closing the transport-side request (no kEnd):
-  // the workers keep their slots and the journal keeps its snapshots, exactly
-  // the state a dead coordinator leaves behind. This is the in-process way to
-  // exercise (and benchmark) the failover path: abandon mid-request, then
-  // restore() from the journal.
-  void abandon(Continuation&& c) const;
-  // Runs the continuation's next stage; returns done() afterwards. A stage
-  // that throws (transport death past the recovery budget) leaves the cursor
-  // where it was — the caller replays from a fresh start() or propagates.
-  bool step(Continuation& c) const;
-
-  // Non-blocking variant of step() for readiness-driven schedulers. It runs
-  // the same tier walk as step() (walk_tier), which issues the tier's remote
-  // verbs — boundary puts, run-layer/run-stack, a relay's fetch — on their
-  // channels (coalesced into pipelined writes) without waiting. step() then
-  // blocks on the issued ops; step_async parks on them instead:
-  //
-  //   kStart    walk the tier, issuing its remote verbs;
-  //   kSettling once every issued op's reply lands, apply the success effects
-  //             (shipped flags, wired copies, fetched outputs), recover from
-  //             any channel death, then either walk again (the pass ended on
-  //             a relay fetch) or checkpoint and advance to the next tier.
-  //
-  // kParked means outstanding ops are unsettled: the caller should wait for
-  // readability on Continuation::pending_fds() (or sweep ops_settled()) and
-  // call step_async again — the reactor keeps serving other requests
-  // meanwhile, which is what overlaps wire wait with compute. kReady means
-  // call again now. Both dispatch modes walk, issue and settle identically
-  // and differ only in where they wait, so outputs stay bitwise-identical,
-  // transcripts byte-identical and wire traffic equal to step() and infer()
-  // on every transport. On transports whose issue_* verbs complete
-  // synchronously (in-process, loopback, decorators) every op settles at
-  // issue and a tier takes one call. Throws like step(); the cursor
-  // semantics on throw are identical.
-  enum class StepStatus { kDone, kReady, kParked };
-  StepStatus step_async(Continuation& c) const;
-
-  // Extracts the result of a done() continuation.
-  InferenceResult take(Continuation&& c) const;
-
-  // Width of the VSM tile stage: the number of emulated edge worker nodes
-  // tiles may occupy concurrently (0 = sequential tile loop). The shared pool
-  // may be larger when intra_op_workers exceeds this; tile execution is still
-  // capped at this width.
-  std::size_t vsm_workers() const { return options_.vsm_workers; }
-  const core::Assignment& assignment() const { return assignment_; }
-  const std::optional<core::FusedTilePlan>& vsm_plan() const { return vsm_; }
-  const dnn::Network& network() const { return net_; }
-  const std::shared_ptr<rpc::Transport>& transport() const { return transport_; }
-  Stats stats() const;
-
- private:
-  using OpEffect = std::function<void(rpc::Transport::OpHandle&)>;
-
   // One pass of the plan at `tier` — the engine's only tier walk. Records the
   // transcript and issues every remote verb the tier needs without waiting:
   // ops still on the wire land in `ops`, each with its success effect in
@@ -409,10 +396,9 @@ class OnlineEngine {
   bool walk_tier(RequestState& state, core::Tier tier,
                  std::vector<rpc::Transport::OpHandle>& ops,
                  std::vector<OpEffect>& effects) const;
-  // walk_tier driven to completion on the calling thread: issue, wait,
-  // settle, and walk again until a pass covers the whole tier. Throws the
-  // first failure; run_tier and finish() wrap it in their recovery loops.
-  void drive_tier(RequestState& state, core::Tier tier) const;
+  // Books `tier`'s next emulated-service slot and returns a timer op due at
+  // its end (invalid when the tier has no emulated service).
+  rpc::Transport::OpHandle book_service(core::Tier tier) const;
   // Tier-granular recovery after `died`: reopen the request on the lost node,
   // re-seed the slots it held from coordinator-held (or survivor-fetched)
   // tensors, and un-mark lost layers so the re-entered walk re-runs exactly
@@ -424,9 +410,6 @@ class OnlineEngine {
   // Options::tier_recovery and the per-request attempts bound, runs
   // recover(), and counts the attempt. False = the caller rethrows.
   bool try_recover(RequestState& state, const rpc::ChannelDied& died) const;
-  // Seeds the raw input into the device node, recovering in place if the node
-  // dies on the spot (shared by begin() and infer()).
-  void seed_input(RequestState& state) const;
   // Appends a journal snapshot of `state` at continuation cursor `next_stage`
   // (no-op without Options::journal).
   void checkpoint(RequestState& state, int next_stage) const;
@@ -476,6 +459,9 @@ class OnlineEngine {
   mutable std::atomic<std::uint64_t> layers_replayed_{0};
   mutable std::atomic<std::uint64_t> tensors_reseeded_{0};
   mutable std::atomic<std::uint64_t> recovery_bytes_{0};
+  // When each tier's emulated-service node is next free (book_service).
+  mutable std::mutex service_mutex_;
+  mutable std::array<Clock::time_point, 3> tier_free_at_{};
 };
 
 }  // namespace d3::runtime

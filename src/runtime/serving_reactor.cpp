@@ -89,8 +89,8 @@ std::size_t ServingReactor::submit(const dnn::Tensor& input, const SubmitOptions
     }
 
     if (!refused_someone) {
-      // Drop-oldest admission on the waiting queue, exactly like
-      // BatchScheduler: the new request displaces the stalest waiting one.
+      // Drop-oldest admission on the waiting queue: the new request displaces
+      // the stalest waiting one.
       if (options_.admission_capacity > 0 &&
           waiting_.size() >= options_.admission_capacity) {
         const std::size_t victim = waiting_.front();
@@ -353,10 +353,9 @@ void ServingReactor::reactor_loop() {
         continue;
       }
       try {
-        // Readiness mode issues the admission round-trips (kBegin broadcast +
-        // input seed) as pipelined sends; the first kStep parks on them.
-        ticket.cont = options_.readiness_dispatch ? engine_.start_async(ticket.input)
-                                                  : engine_.start(ticket.input);
+        // start() issues the admission round-trips (kBegin broadcast + input
+        // seed) as pipelined sends; the first kStep waits or parks on them.
+        ticket.cont = engine_.start(ticket.input);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         ticket.error = std::current_exception();
@@ -407,8 +406,7 @@ void ServingReactor::reactor_loop() {
       // result byte-identical), bounded by max_replays.
       if (ticket.replays < options_.max_replays) {
         try {
-          ticket.cont = options_.readiness_dispatch ? engine_.start_async(ticket.input)
-                                                    : engine_.start(ticket.input);
+          ticket.cont = engine_.start(ticket.input);
           ++ticket.replays;
           std::lock_guard<std::mutex> lock(mutex_);
           ++counters_.replayed;

@@ -1,24 +1,30 @@
-// Event-driven serving front end: one reactor thread multiplexing thousands
-// of in-flight requests over the engine's continuation API.
+// Event-driven serving front end — the runtime's one — with one reactor
+// thread multiplexing thousands of in-flight requests over the engine's
+// continuation API.
 //
-// Where runtime::BatchScheduler dedicates one blocking thread per tier (three
-// lanes, each request handed thread-to-thread), the reactor holds every
-// admitted request as an OnlineEngine::Continuation and pumps them from a
-// single event loop: admit waiting requests up to Options::max_inflight, run
-// exactly one stage of the highest-priority runnable request, repeat. The
-// loop sleeps on an rpc::Poller (epoll — the same multiplexer that drives the
-// d3_node worker serve loop) with an rpc::EventFd registered as the wake-up
-// channel, so submissions from any thread interrupt an idle reactor without
-// polling. With Options::readiness_dispatch the loop pumps stages through
-// OnlineEngine::step_async instead of step(): a stage whose wire ops are
-// still in flight parks, its channel fds join the same epoll set, and the
-// reactor serves other requests until readability resumes it — wire wait
-// overlaps compute and every worker channel stays busy from one thread.
+// The reactor holds every admitted request as an OnlineEngine::Continuation
+// and pumps them from a single event loop: admit waiting requests up to
+// Options::max_inflight, run exactly one stage of the highest-priority
+// runnable request, repeat — so the device, edge and cloud stages of
+// different requests pipeline across the tiers. The loop sleeps on an
+// rpc::Poller (epoll — the same multiplexer that drives the d3_node worker
+// serve loop) with an rpc::EventFd registered as the wake-up channel, so
+// submissions from any thread interrupt an idle reactor without polling.
+// Options::readiness_dispatch only chooses where a stage waits. With it, the
+// loop pumps stages through OnlineEngine::step_async: a stage whose ops are
+// still in flight (wire replies, or the engine's emulated tier-service timer)
+// parks, their fds join the same epoll set, and the reactor serves other
+// requests until readability resumes it — wire wait and emulated service
+// overlap compute and every worker channel stays busy from one thread.
+// Without it, the loop calls the blocking OnlineEngine::step(), which waits
+// out the same ops on the reactor thread.
 //
 // Admission control stacks three policies:
 //   * drop-oldest — Options::admission_capacity bounds the waiting queue; a
 //     new arrival at a full queue evicts the stalest waiting request
-//     (RequestDropped), exactly like BatchScheduler.
+//     (RequestDropped) — the runtime analogue of
+//     sim::StreamOptions::drop_when_busy, where a camera pipeline overwrites
+//     stale frames rather than queueing unboundedly.
 //   * latency-aware shedding — with Options::pipeline set, a request whose
 //     deadline is already beaten by sim::predicted_completion_seconds at its
 //     queue position is refused at submit() (RequestShed): a request doomed
@@ -28,8 +34,8 @@
 //
 // Determinism: each request's stages still run strictly in order, all on the
 // reactor thread, so per-request outputs are bitwise-identical and
-// transcripts byte-identical to OnlineEngine::infer(), BatchScheduler, and
-// each other — regardless of how stages of different requests interleave.
+// transcripts byte-identical to OnlineEngine::infer() in both dispatch modes
+// — regardless of how stages of different requests interleave.
 // See docs/ARCHITECTURE.md "Serving front end".
 #pragma once
 
@@ -43,16 +49,28 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rpc/socket.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "sim/pipeline.h"
 
 namespace d3::runtime {
+
+// Thrown by wait() for a request that drop-oldest admission control evicted.
+class RequestDropped : public std::runtime_error {
+ public:
+  explicit RequestDropped(std::size_t id)
+      : std::runtime_error("ServingReactor: request " + std::to_string(id) +
+                           " dropped by admission control") {}
+
+ protected:
+  // For subclasses with their own story (RequestShed).
+  explicit RequestDropped(const std::string& what) : std::runtime_error(what) {}
+};
 
 // Thrown by wait() for requests refused or abandoned by the latency-aware
 // shedding policy (predicted or actual deadline miss). Derives from
@@ -73,8 +91,11 @@ class ServingReactor {
     std::size_t max_inflight = 1024;
     // Waiting-queue bound with drop-oldest eviction (0 = unbounded).
     std::size_t admission_capacity = 0;
-    // End-to-end replays after a channel death the engine could not absorb
-    // (same contract as BatchScheduler::Options::max_replays).
+    // Full-replay fallback: when a stage fails with rpc::ChannelDied — the
+    // engine's own tier-granular recovery was disabled, exhausted, or
+    // impossible (no reconnect hook) — restart the request from its retained
+    // input up to this many times instead of failing it. Transcript purity
+    // makes the replayed result byte-identical. 0 = fail the request.
     std::size_t max_replays = 0;
     // Deadline applied to submissions that do not carry their own
     // (SubmitOptions::deadline_seconds < 0). 0 = no deadline.
@@ -87,11 +108,13 @@ class ServingReactor {
     // and benches pile up a burst, then watch the reactor absorb it.
     bool start_paused = false;
     // true: pump stages through OnlineEngine::step_async and PARK a
-    // continuation whose wire ops are still in flight instead of blocking on
-    // the reply — its channel fds join the epoll set and the stage resumes on
-    // readability. N requests over M worker channels then keep all M channels
-    // busy from this one thread: wire wait overlaps other requests' compute.
-    // false (default): blocking step(), one wire round-trip at a time.
+    // continuation whose ops are still in flight instead of blocking on them
+    // — their fds (channel sockets, emulated-service timers) join the epoll
+    // set and the stage resumes on readability. N requests over M worker
+    // channels then keep all M channels busy from this one thread: wire wait
+    // overlaps other requests' compute, and each tier's emulated service
+    // pipelines across requests. false (default): blocking step(), which
+    // waits out each op on the reactor thread.
     bool readiness_dispatch = false;
   };
 
@@ -116,10 +139,12 @@ class ServingReactor {
     std::size_t shutdown_shed = 0;    // requests expired deterministically by shutdown()
     std::size_t heartbeat_deaths = 0;  // ChannelDied raised by reactor liveness probes
     // Readiness dispatch only:
-    std::size_t parked_stages = 0;  // stages parked on in-flight wire ops
-    double wire_wait_ms = 0.0;      // total parked time — wire wait the reactor
+    std::size_t parked_stages = 0;  // stages parked on in-flight ops
+    double wire_wait_ms = 0.0;      // total parked time — wire wait and
+                                    // emulated tier service the reactor
                                     // overlapped with other requests' stages
-    std::size_t outstanding_ops_high_water = 0;  // peak unsettled wire ops
+    std::size_t outstanding_ops_high_water = 0;  // peak unsettled ops (wire
+                                                 // replies, service timers)
                                                  // across parked stages
   };
 
@@ -190,8 +215,8 @@ class ServingReactor {
     std::size_t replays = 0;
     bool done = false;
     bool collected = false;
-    // Readiness dispatch: channel fds this parked stage waits on, when it
-    // parked, and how many ops it held (all maintained under the mutex).
+    // Readiness dispatch: fds this parked stage waits on, when it parked, and
+    // how many ops it held (all maintained under the mutex).
     std::vector<int> parked_fds;
     std::optional<Clock::time_point> parked_since;
     std::size_t parked_ops = 0;
@@ -237,8 +262,8 @@ class ServingReactor {
   std::map<int, std::deque<std::size_t>, std::greater<int>> runnable_;
   std::size_t inflight_ = 0;  // begun, not finished
   std::size_t finished_ = 0;  // done tickets (completed + refused + failed)
-  // Readiness dispatch: tickets parked on in-flight wire ops, the fds they
-  // wait on, and per-fd registration refcounts for the poller.
+  // Readiness dispatch: tickets parked on in-flight ops, the fds they wait
+  // on, and per-fd registration refcounts for the poller.
   std::vector<std::size_t> parked_;
   std::map<int, std::vector<std::size_t>> parked_by_fd_;
   std::map<int, std::size_t> fd_refs_;

@@ -92,10 +92,10 @@ struct StreamResult {
 StreamResult simulate_stream(const PipelinePlan& plan, const StreamOptions& options = {});
 
 // Closed-form makespan of `frames` requests admitted back-to-back into the
-// pipeline (the runtime::BatchScheduler admission pattern): the first frame's
-// full latency plus one bottleneck period for each following frame once the
-// pipeline is saturated. This is what the concurrency bench compares the
-// measured threaded-engine wall clock against.
+// pipeline (a runtime::ServingReactor burst, each tier serving one request at
+// a time): the first frame's full latency plus one bottleneck period for each
+// following frame once the pipeline is saturated. This is what the
+// concurrency bench compares the measured reactor wall clock against.
 double batch_makespan_seconds(const PipelinePlan& plan, std::size_t frames);
 
 // Predicted speedup of admitting `frames` as a pipelined batch over running

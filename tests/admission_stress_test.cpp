@@ -1,5 +1,5 @@
-// Concurrency stress for the admission-control paths of both serving front
-// ends (run under TSan in CI). Pins the ISSUE-6 bugfix: a request evicted by
+// Concurrency stress for the admission-control paths of the serving reactor
+// (run under TSan in CI). Pins the ISSUE-6 bugfix: a request evicted by
 // drop-oldest admission between submit() and wait() raises RequestDropped
 // exactly once — to whichever caller claims it first — and a concurrent
 // drain() skips claimed requests instead of hanging or throwing for them.
@@ -13,7 +13,6 @@
 
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "runtime/serving_reactor.h"
 #include "sim/pipeline.h"
@@ -50,12 +49,10 @@ core::Assignment three_tier_plan(const dnn::Network& net) {
   return a;
 }
 
-// Submits then waits from `kThreads` concurrent threads against `front`,
-// which must expose submit/wait with BatchScheduler-compatible semantics.
+// Submits then waits from `kThreads` concurrent threads against `front`.
 // Every id is waited by exactly one thread, so the dropped count observed by
 // callers must equal the count admission control recorded.
-template <typename FrontEnd>
-void hammer_own_ids(FrontEnd& front, const dnn::Tensor& input, const dnn::Tensor& reference,
+void hammer_own_ids(ServingReactor& front, const dnn::Tensor& input, const dnn::Tensor& reference,
                     std::atomic<std::size_t>& completed, std::atomic<std::size_t>& refused) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -77,29 +74,6 @@ void hammer_own_ids(FrontEnd& front, const dnn::Tensor& input, const dnn::Tensor
     });
   }
   for (std::thread& thread : threads) thread.join();
-}
-
-TEST(AdmissionStress, SchedulerDropsAreObservedExactlyOnce) {
-  Fixture f;
-  // Slow device stage so the depth-2 queue overflows and evictions race
-  // against the submitters' own wait() calls.
-  OnlineEngine::Options slow;
-  slow.emulated_tier_service_seconds = {0.001, 0.0, 0.0};
-  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt, slow);
-
-  BatchScheduler::Options options;
-  options.admission_capacity = 2;
-  BatchScheduler scheduler(engine, options);
-
-  std::atomic<std::size_t> completed{0}, refused{0};
-  hammer_own_ids(scheduler, f.input, f.reference, completed, refused);
-
-  const BatchScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(completed.load() + refused.load(), kThreads * kPerThread);
-  EXPECT_EQ(stats.completed, completed.load());
-  EXPECT_EQ(stats.dropped, refused.load());
-  EXPECT_GT(refused.load(), 0u) << "stress produced no drops; tighten the queue";
 }
 
 TEST(AdmissionStress, ReactorRefusalsAreObservedExactlyOnce) {
@@ -129,8 +103,7 @@ TEST(AdmissionStress, ReactorRefusalsAreObservedExactlyOnce) {
 // hanging on them or throwing (the pre-fix drain did both). The regression
 // this pins: wait() observing a drop concurrently with drain() walking the
 // same id must never deadlock drain().
-template <typename FrontEnd>
-void run_drain_race(FrontEnd& front, const Fixture& f, std::size_t& drained,
+void run_drain_race(ServingReactor& front, const Fixture& f, std::size_t& drained,
                     std::atomic<std::size_t>& waited, std::atomic<std::size_t>& refused) {
   std::vector<std::thread> submitters;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -159,27 +132,6 @@ void run_drain_race(FrontEnd& front, const Fixture& f, std::size_t& drained,
   // Late drain: every remaining unclaimed result, and proof the front end is
   // still consistent after the race.
   drained += front.drain().size();
-}
-
-TEST(AdmissionStress, SchedulerDrainNeverHangsRacingWaiters) {
-  Fixture f;
-  OnlineEngine::Options slow;
-  slow.emulated_tier_service_seconds = {0.001, 0.0, 0.0};
-  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt, slow);
-
-  BatchScheduler::Options options;
-  options.admission_capacity = 2;
-  BatchScheduler scheduler(engine, options);
-
-  std::size_t drained = 0;
-  std::atomic<std::size_t> waited{0}, refused{0};
-  run_drain_race(scheduler, f, drained, waited, refused);
-
-  const BatchScheduler::Stats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  // Every completed result went to exactly one claimant.
-  EXPECT_EQ(drained + waited.load(), stats.completed);
-  EXPECT_EQ(stats.completed + stats.dropped, kThreads * kPerThread);
 }
 
 TEST(AdmissionStress, ReactorDrainNeverHangsRacingWaiters) {

@@ -291,6 +291,64 @@ TEST(RpcWire, LyingFrameHeaderCostsOnlyTheBytesReceived) {
       << "1: read returned, 2: not a SocketError, 3: peak RSS grew by 64 MiB or more";
 }
 
+// Runs `decode` in a forked child, so the child's peak RSS measures that
+// decode alone. Exit code: 0 = threw WireError with peak RSS grown by under
+// 64 MiB, 1 = returned, 2 = threw something else, 3 = RSS grew 64 MiB or more.
+int decode_in_child(void (*decode)()) {
+  const pid_t child = ::fork();
+  if (child < 0) return -1;
+  if (child == 0) {
+    rusage before{};
+    ::getrusage(RUSAGE_SELF, &before);
+    int code = 1;  // no exception
+    try {
+      decode();
+    } catch (const WireError&) {
+      code = 0;
+    } catch (...) {
+      code = 2;
+    }
+    rusage after{};
+    ::getrusage(RUSAGE_SELF, &after);
+    if (code == 0 && after.ru_maxrss - before.ru_maxrss >= 64 * 1024) code = 3;  // KiB
+    ::_exit(code);
+  }
+  int status = 0;
+  if (::waitpid(child, &status, 0) != child || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(RpcWire, LyingTensorAndArrayHeadersCostOnlyTheBytesReceived) {
+  // A 22-byte tensor whose header declares 256x1024x1024 floats (1 GiB) but
+  // carries one: the decoder must fail on the truncation before allocating
+  // the declared shape.
+  EXPECT_EQ(decode_in_child([] {
+              std::vector<std::uint8_t> bytes = encode_tensor(dnn::Tensor(dnn::Shape{1, 1, 1}));
+              WireWriter dims;
+              dims.i32(256);
+              dims.i32(1024);
+              dims.i32(1024);
+              const std::vector<std::uint8_t> lie = dims.take();
+              std::copy(lie.begin(), lie.end(), bytes.begin() + 6);  // after magic + version
+              ASSERT_EQ(bytes.size(), 22u);
+              decode_tensor(bytes);
+            }),
+            0)
+      << "1: decode returned, 2: not a WireError, 3: peak RSS grew by 64 MiB or more";
+  // A 12-byte float array whose count declares 2^29 floats (2 GiB) but
+  // carries one.
+  EXPECT_EQ(decode_in_child([] {
+              WireWriter w;
+              w.u64(std::uint64_t{1} << 29);
+              w.f32(1.0f);
+              const std::vector<std::uint8_t> bytes = w.take();
+              ASSERT_EQ(bytes.size(), 12u);
+              WireReader(bytes).f32_array();
+            }),
+            0)
+      << "1: decode returned, 2: not a WireError, 3: peak RSS grew by 64 MiB or more";
+}
+
 TEST(RpcWire, LargeFrameBodyArrivesIntact) {
   // Honest frames past the first growth step (and not a power of two) still
   // arrive byte for byte.

@@ -1,10 +1,11 @@
-// Reactor-mode equivalence matrix (ISSUE 6): the same plans pushed through
-// the blocking BatchScheduler and the event-driven ServingReactor must
-// produce bitwise-identical outputs and byte-identical transcripts — on the
-// zero-copy in-process transport, over the serializing loopback wire path,
-// with a VSM tile stack, and under mid-request fault injection. Plus the
-// reactor's own serving policies: priority ordering, drop-oldest admission,
-// predictive shedding, and deadline expiry.
+// Reactor equivalence matrix: the same plans pushed through OnlineEngine::
+// infer() and through the ServingReactor in both dispatch modes (blocking
+// step() and readiness-driven step_async()) must produce bitwise-identical
+// outputs and byte-identical transcripts — on the zero-copy in-process
+// transport, over the serializing loopback wire path, with a VSM tile stack,
+// and under mid-request fault injection. Plus the reactor's own serving
+// policies: priority ordering, drop-oldest admission, predictive shedding,
+// deadline expiry, and emulated tier service parked as a timer.
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -17,7 +18,6 @@
 #include "exec/executor.h"
 #include "rpc/fault_injection.h"
 #include "rpc/transport.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
 #include "runtime/serving_reactor.h"
 #include "sim/pipeline.h"
@@ -74,22 +74,15 @@ core::Assignment three_tier_plan(const dnn::Network& net) {
   return a;
 }
 
-// Runs `count` requests through both front ends of `engine` and checks every
-// result bitwise and transcript-byte identical to `reference`.
-void expect_front_ends_equivalent(const OnlineEngine& engine, const dnn::Tensor& input,
-                                  const InferenceResult& reference, std::size_t count = 4) {
-  {
-    BatchScheduler scheduler(engine);
-    std::vector<std::size_t> ids;
-    for (std::size_t i = 0; i < count; ++i) ids.push_back(scheduler.submit(input));
-    for (const std::size_t id : ids) {
-      const InferenceResult result = scheduler.wait(id);
-      expect_identical(result.output, reference.output);
-      expect_same_transcript(result, reference);
-    }
-  }
-  {
-    ServingReactor reactor(engine);
+// Runs `count` requests through the reactor over `engine` in both dispatch
+// modes and checks every result bitwise and transcript-byte identical to
+// `reference`.
+void expect_dispatch_modes_equivalent(const OnlineEngine& engine, const dnn::Tensor& input,
+                                      const InferenceResult& reference, std::size_t count = 4) {
+  for (const bool readiness : {false, true}) {
+    ServingReactor::Options options;
+    options.readiness_dispatch = readiness;
+    ServingReactor reactor(engine, options);
     std::vector<std::size_t> ids;
     for (std::size_t i = 0; i < count; ++i) ids.push_back(reactor.submit(input));
     for (const std::size_t id : ids) {
@@ -103,7 +96,7 @@ void expect_front_ends_equivalent(const OnlineEngine& engine, const dnn::Tensor&
 
 // --- Equivalence matrix -----------------------------------------------------
 
-TEST(ServingReactorEquivalence, MatchesSchedulerAndInferAcrossTransports) {
+TEST(ServingReactorEquivalence, MatchesInferInBothDispatchModesAcrossTransports) {
   for (const char* which : {"chain", "branch"}) {
     Fixture f(std::string(which) == "chain" ? dnn::zoo::tiny_chain()
                                             : dnn::zoo::tiny_branch());
@@ -112,18 +105,18 @@ TEST(ServingReactorEquivalence, MatchesSchedulerAndInferAcrossTransports) {
     const OnlineEngine in_process(f.net, f.weights, plan);
     const InferenceResult reference = in_process.infer(f.input);
     expect_identical(reference.output, f.reference);
-    expect_front_ends_equivalent(in_process, f.input, reference);
+    expect_dispatch_modes_equivalent(in_process, f.input, reference);
 
     OnlineEngine::Options options;
     options.transport = std::make_shared<rpc::SerializingLoopback>();
     const OnlineEngine wired(f.net, f.weights, plan, std::nullopt, options);
     // The transcript is a pure function of the plan: the wire path must match
-    // the in-process reference byte for byte, through either front end.
-    expect_front_ends_equivalent(wired, f.input, reference);
+    // the in-process reference byte for byte, in either dispatch mode.
+    expect_dispatch_modes_equivalent(wired, f.input, reference);
   }
 }
 
-TEST(ServingReactorEquivalence, MatchesSchedulerWithVsmStackOverLoopback) {
+TEST(ServingReactorEquivalence, MatchesInferWithVsmStackOverLoopback) {
   Fixture f(dnn::zoo::tiny_chain());
   core::Assignment a;
   a.tier.assign(f.net.num_layers() + 1, core::Tier::kCloud);
@@ -140,7 +133,7 @@ TEST(ServingReactorEquivalence, MatchesSchedulerWithVsmStackOverLoopback) {
   options.transport = std::make_shared<rpc::SerializingLoopback>();
   options.vsm_workers = 3;
   const OnlineEngine wired(f.net, f.weights, a, vsm, options);
-  expect_front_ends_equivalent(wired, f.input, reference);
+  expect_dispatch_modes_equivalent(wired, f.input, reference);
 }
 
 // Mid-request state loss at assorted protocol points: the engine's
@@ -399,6 +392,48 @@ TEST(ServingReactorShutdown, InflightRequestsAreShedOrCompletedNeverLost) {
   EXPECT_EQ(stats.completed, completed);
   EXPECT_EQ(stats.shutdown_shed, shed);
   EXPECT_GE(stats.shutdown_shed, 1u);  // shutdown beat the 10 ms edge stages
+}
+
+// Emulated tier service is a timer op. Blocking dispatch waits each one out on
+// the reactor thread: n requests x 3 tiers, strictly serial. Readiness
+// dispatch parks on the timers and pipelines the tiers — but each tier is one
+// node serving one request at a time, so its service slots queue and the
+// batch takes (n + 2) services rather than the 3 a free-for-all would.
+TEST(ServingReactorPolicy, EmulatedTierLatencyParksAndEachTierServesOneRequestAtATime) {
+  Fixture f(dnn::zoo::tiny_chain());
+  constexpr double kServiceMs = 20.0;
+  constexpr std::size_t kRequests = 6;
+  OnlineEngine::Options engine_options;
+  engine_options.emulated_tier_service_seconds = {kServiceMs / 1e3, kServiceMs / 1e3,
+                                                  kServiceMs / 1e3};
+  const OnlineEngine engine(f.net, f.weights, three_tier_plan(f.net), std::nullopt,
+                            engine_options);
+
+  for (const bool readiness : {false, true}) {
+    SCOPED_TRACE(readiness ? "readiness dispatch" : "blocking dispatch");
+    ServingReactor::Options options;
+    options.readiness_dispatch = readiness;
+    options.start_paused = true;  // the whole batch queued before the clock starts
+    ServingReactor reactor(engine, options);
+    for (std::size_t i = 0; i < kRequests; ++i) reactor.submit(f.input);
+    const auto t0 = std::chrono::steady_clock::now();
+    reactor.resume();
+    const std::vector<InferenceResult> results = reactor.drain();
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_EQ(results.size(), kRequests);
+    for (const InferenceResult& r : results) expect_identical(r.output, f.reference);
+
+    const ServingReactor::Stats stats = reactor.stats();
+    if (!readiness) {
+      EXPECT_GE(wall_ms, kRequests * 3 * kServiceMs);
+      EXPECT_EQ(stats.parked_stages, 0u);
+    } else {
+      EXPECT_GE(wall_ms, (kRequests + 2) * kServiceMs);  // the per-tier queue
+      EXPECT_LT(wall_ms, 270.0);                          // ... but pipelined
+      EXPECT_GE(stats.parked_stages, kRequests * 3);      // every timer parked
+    }
+  }
 }
 
 TEST(ServingReactorPolicy, WaitIsExactlyOncePerId) {

@@ -26,8 +26,8 @@
 #include "profile/profiler.h"
 #include "rpc/socket_transport.h"
 #include "rpc/wire.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/engine.h"
+#include "runtime/serving_reactor.h"
 #include "util/rng.h"
 
 #ifndef D3_NODE_BINARY
@@ -46,7 +46,7 @@ void expect_identical(const dnn::Tensor& a, const dnn::Tensor& b) {
 // constructor attaches the classic one-process-per-tier star; tests may also
 // attach named tier nodes and tile-worker shards one by one. `procs` is
 // touched by the main test thread (kill_worker) and by respawn hooks running
-// on scheduler stage threads, so all access goes through `mutex`.
+// on engine/reactor threads, so all access goes through `mutex`.
 struct Cluster {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<rpc::WorkerProcess>> procs;
@@ -277,7 +277,7 @@ TEST(SocketTransport, WorkerPoolRunsGridModuleLayersBitwise) {
   EXPECT_GT(cluster.transport->stats().payload_bytes_fetched, 0u);
 }
 
-TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
+TEST(SocketTransport, PipelinedReactorAcrossProcesses) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 41);
   util::Rng rng(42);
@@ -297,17 +297,20 @@ TEST(SocketTransport, PipelinedSchedulerAcrossProcesses) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  // Several in-flight requests pipelined across the three worker processes:
-  // per-request isolation on every node, results all bitwise-correct.
-  BatchScheduler scheduler(engine);
+  // Several in-flight requests pipelined across the three worker processes
+  // (readiness dispatch parks each stage on its wire ops and steps the
+  // others): per-request isolation on every node, results all bitwise-correct.
+  ServingReactor::Options serving;
+  serving.readiness_dispatch = true;
+  ServingReactor reactor(engine, serving);
   std::vector<dnn::Tensor> frames;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 4; ++i) {
     frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
+    ids.push_back(reactor.submit(frames.back()));
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const InferenceResult result = scheduler.wait(ids[i]);
+    const InferenceResult result = reactor.wait(ids[i]);
     expect_identical(result.output, executor.run(frames[i]));
   }
 }
@@ -522,26 +525,31 @@ TEST(SocketTransport, KillWorkerMidBatchAllRequestsRecover) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  BatchScheduler scheduler(engine);
+  // Two requests in flight at a time: the reactor round-robins stages, so
+  // with the whole batch admitted every request would be past the edge
+  // before request 0 returns, and the kill would touch nothing.
+  ServingReactor::Options serving;
+  serving.max_inflight = 2;
+  ServingReactor reactor(engine, serving);
   std::vector<dnn::Tensor> frames;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 6; ++i) {
     frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
+    ids.push_back(reactor.submit(frames.back()));
   }
-  const InferenceResult first = scheduler.wait(ids[0]);
+  const InferenceResult first = reactor.wait(ids[0]);
   expect_identical(first.output, executor.run(frames[0]));
   cluster.kill_worker("edge0");
 
   for (std::size_t i = 1; i < ids.size(); ++i)
-    expect_identical(scheduler.wait(ids[i]).output, executor.run(frames[i]));
+    expect_identical(reactor.wait(ids[i]).output, executor.run(frames[i]));
   EXPECT_GE(cluster.transport->stats().reconnects, 1u);
   EXPECT_GE(engine.stats().recoveries, 1u);
 }
 
-TEST(SocketTransport, SchedulerReplaysWhenEngineRecoveryIsOff) {
-  // The scheduler-level fallback: tier recovery disabled, but
-  // Options::max_replays lets the scheduler restart a ChannelDied request from
+TEST(SocketTransport, ReactorReplaysWhenEngineRecoveryIsOff) {
+  // The reactor-level fallback: tier recovery disabled, but
+  // Options::max_replays lets the reactor restart a ChannelDied request from
   // its retained input — the batch still completes with every output
   // bitwise-correct and no caller-visible failure.
   const dnn::Network net = dnn::zoo::tiny_chain();
@@ -567,23 +575,24 @@ TEST(SocketTransport, SchedulerReplaysWhenEngineRecoveryIsOff) {
   const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
   const exec::Executor executor(net, weights);
 
-  BatchScheduler::Options sched_options;
-  sched_options.max_replays = 2;
-  BatchScheduler scheduler(engine, sched_options);
+  ServingReactor::Options serving;
+  serving.max_replays = 2;
+  serving.max_inflight = 2;  // as above: keep requests short of the edge at the kill
+  ServingReactor reactor(engine, serving);
   std::vector<dnn::Tensor> frames;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 6; ++i) {
     frames.push_back(exec::random_tensor(net.input_shape(), rng));
-    ids.push_back(scheduler.submit(frames.back()));
+    ids.push_back(reactor.submit(frames.back()));
   }
-  const InferenceResult first = scheduler.wait(ids[0]);
+  const InferenceResult first = reactor.wait(ids[0]);
   expect_identical(first.output, executor.run(frames[0]));
   cluster.kill_worker("edge0");
 
   for (std::size_t i = 1; i < ids.size(); ++i)
-    expect_identical(scheduler.wait(ids[i]).output, executor.run(frames[i]));
+    expect_identical(reactor.wait(ids[i]).output, executor.run(frames[i]));
   EXPECT_GE(cluster.transport->stats().reconnects, 1u);
-  EXPECT_GE(scheduler.stats().replayed, 1u);
+  EXPECT_GE(reactor.stats().replayed, 1u);
   EXPECT_EQ(engine.stats().recoveries, 0u);
 }
 

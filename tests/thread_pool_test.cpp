@@ -1,6 +1,6 @@
 // Unit tests of the runtime worker pool: full coverage of every index, safety
-// under concurrent parallel_for callers (the batch scheduler's sharing
-// pattern), no deadlock on a single-thread pool, and exception propagation.
+// under concurrent parallel_for callers (concurrent infer() calls sharing
+// one engine), no deadlock on a single-thread pool, and exception propagation.
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -51,8 +51,8 @@ TEST(ThreadPool, AtLeastOneWorkerEvenWhenZeroRequested) {
 }
 
 TEST(ThreadPool, ConcurrentCallersShareOnePool) {
-  // Several threads issue parallel_for on the same pool at once — the batch
-  // scheduler's usage. Each call must see exactly its own indices completed.
+  // Several threads issue parallel_for on the same pool at once — concurrent
+  // infer() calls' usage. Each call must see exactly its own indices completed.
   ThreadPool pool(4);
   constexpr int kCallers = 6;
   constexpr std::size_t kN = 128;
