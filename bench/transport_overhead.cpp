@@ -122,12 +122,13 @@ struct RecoveryRow {
   std::uint64_t bytes = 0;     // tensor bytes re-moved to finish the request
 };
 
-// Boot-time configuration traffic (ISSUE 10): the classic kConfig ships the
-// full weights blob to every node — O(model) per worker — while a cluster
-// booted from d3c bundles takes the weights-elided form, plan + weights hash
-// only. Both forms are run against real worker processes on the same plan
-// (outputs verified bitwise-identical) and the bytes are the measured kConfig
-// bodies, not an estimate.
+// Boot-time configuration traffic: kConfig ships every node its own
+// deployment bundle — plan plus the weight shard of exactly its layers,
+// O(tier) per worker — while a cluster booted from d3c bundles takes the
+// weights-elided form, the bundle without its shard. Both forms are run
+// against real worker processes on the same plan (outputs verified
+// bitwise-identical) and the bytes are the measured kConfig bodies, not an
+// estimate.
 struct ConfigRow {
   std::string form;
   std::uint64_t config_bytes = 0;
@@ -395,7 +396,7 @@ std::vector<ConfigRow> measure_config_bytes() {
 
   std::vector<ConfigRow> rows;
 
-  // Full form: the weights blob rides every node's kConfig.
+  // Shard form: each node's kConfig carries its own weight shard.
   {
     std::vector<std::unique_ptr<rpc::WorkerProcess>> workers;
     auto transport = std::make_shared<rpc::SocketTransport>();
@@ -404,7 +405,7 @@ std::vector<ConfigRow> measure_config_bytes() {
       transport->add_node(node, workers.back()->take_socket());
     }
     transport->configure(net.name(), net, weights, plan_bytes, 0);
-    rows.push_back({"full kConfig", transport->stats().config_bytes_sent});
+    rows.push_back({"shard kConfig", transport->stats().config_bytes_sent});
     runtime::OnlineEngine::Options options;
     options.transport = transport;
     const runtime::InferenceResult r =
@@ -415,20 +416,13 @@ std::vector<ConfigRow> measure_config_bytes() {
 
   // Elided form: workers boot from d3c bundles; kConfig carries the hash.
   {
-    const std::uint64_t weights_hash = rpc::fnv1a(rpc::encode_weights(weights, net));
+    const std::uint64_t weights_hash = rpc::weights_hash(weights, net);
     std::map<std::string, std::unique_ptr<rpc::ListenWorkerProcess>> workers;
     auto transport = std::make_shared<rpc::SocketTransport>();
     for (const char* node : {"device0", "edge0", "cloud0"}) {
-      core::DeploymentBundle bundle;
-      bundle.node_name = node;
-      bundle.model_name = net.name();
-      bundle.weights_hash = weights_hash;
-      bundle.plan_bytes = plan_bytes;
-      bundle.shard_bytes = rpc::encode_weight_shard(
-          weights, net, exec::WeightStore::layers_for_node(plan, node));
-      bundle.book_text = "[workers]\n";
       const std::string path = std::string("BENCH_") + node + ".d3b";
-      core::write_bundle_file(path, bundle);
+      core::write_bundle_file(
+          path, core::compile_bundle(net, weights, plan_bytes, node, 0, weights_hash));
       workers[node] = std::make_unique<rpc::ListenWorkerProcess>(
           D3_NODE_BINARY, std::vector<std::string>{"--bundle", path, node});
       transport->add_node(node, workers[node]->dial());
@@ -448,7 +442,7 @@ std::vector<ConfigRow> measure_config_bytes() {
 
   if (rows[1].config_bytes >= rows[0].config_bytes) {
     std::cerr << "FATAL: elided kConfig sent " << rows[1].config_bytes
-              << " bytes, not below the full form's " << rows[0].config_bytes << "\n";
+              << " bytes, not below the shard form's " << rows[0].config_bytes << "\n";
     std::abort();
   }
   return rows;
@@ -604,7 +598,7 @@ int main() {
   }
 #endif
 
-  // Boot-time configuration traffic: full kConfig (weights blob per node) vs
+  // Boot-time configuration traffic: shard kConfig (each node's own layers) vs
   // the weights-elided form against bundle-booted workers.
   std::vector<ConfigRow> config_rows;
 #ifdef D3_NODE_BINARY
@@ -614,7 +608,7 @@ int main() {
     for (const ConfigRow& r : config_rows)
       ctable.row().cell(r.form).cell(static_cast<double>(r.config_bytes) / 1024.0);
     ctable.print(std::cout,
-                 "boot-time configuration traffic: O(model) weights blob vs the "
+                 "boot-time configuration traffic: O(tier) weight shards vs the "
                  "O(1) elided form on d3c-bundle-booted workers (outputs verified)");
   } catch (const std::exception& e) {
     std::cerr << "note: config-bytes mode skipped (" << e.what() << ")\n";

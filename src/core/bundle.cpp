@@ -8,9 +8,27 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/plan_io.h"
 #include "rpc/wire.h"
 
 namespace d3::core {
+
+DeploymentBundle compile_bundle(const dnn::Network& net, const exec::WeightStore& weights,
+                                std::span<const std::uint8_t> plan_bytes,
+                                const std::string& node, std::uint32_t vsm_workers,
+                                std::uint64_t weights_hash, bool elided) {
+  DeploymentBundle bundle;
+  bundle.node_name = node;
+  bundle.model_name = net.name();
+  bundle.vsm_workers = vsm_workers;
+  bundle.weights_hash = weights_hash;
+  bundle.plan_bytes.assign(plan_bytes.begin(), plan_bytes.end());
+  if (!elided)
+    bundle.shard_bytes = rpc::encode_weight_shard(
+        weights, net,
+        exec::WeightStore::layers_for_node(parse_plan_binary(plan_bytes, net), node));
+  return bundle;
+}
 
 std::vector<std::uint8_t> encode_bundle(const DeploymentBundle& bundle) {
   rpc::WireWriter w;
@@ -56,7 +74,7 @@ DeploymentBundle decode_bundle(std::span<const std::uint8_t> bytes) {
   return bundle;
 }
 
-void write_bundle_file(const std::string& path, const DeploymentBundle& bundle) {
+std::size_t write_bundle_file(const std::string& path, const DeploymentBundle& bundle) {
   const std::vector<std::uint8_t> bytes = encode_bundle(bundle);
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -81,6 +99,7 @@ void write_bundle_file(const std::string& path, const DeploymentBundle& bundle) 
     std::remove(tmp.c_str());
     throw std::runtime_error("bundle: rename to '" + path + "' failed");
   }
+  return bytes.size();
 }
 
 DeploymentBundle load_bundle_file(const std::string& path) {

@@ -81,20 +81,6 @@ std::vector<bool> WeightStore::layers_for_node(const core::SerializablePlan& pla
   throw std::invalid_argument("layers_for_node: plan assigns no layers to node '" + node + "'");
 }
 
-WeightStore WeightStore::shard_for_plan(const core::SerializablePlan& plan,
-                                        const std::string& node) const {
-  const std::vector<bool> keep = layers_for_node(plan, node);
-  if (keep.size() != per_layer_.size())
-    throw std::invalid_argument("shard_for_plan: store holds " +
-                                std::to_string(per_layer_.size()) + " layers, plan covers " +
-                                std::to_string(keep.size()));
-  WeightStore shard;
-  shard.per_layer_.resize(per_layer_.size());
-  for (std::size_t id = 0; id < per_layer_.size(); ++id)
-    if (keep[id]) shard.per_layer_[id] = per_layer_[id];
-  return shard;
-}
-
 dnn::Tensor random_tensor(const dnn::Shape& shape, util::Rng& rng) {
   dnn::Tensor t(shape);
   for (std::size_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));

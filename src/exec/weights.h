@@ -41,8 +41,8 @@ class WeightStore {
   static WeightStore random_for(const dnn::Network& net, std::uint64_t seed);
 
   // Adopts explicit per-layer parameters (one entry per network layer) — how a
-  // remote node rebuilds the store it received over the wire (rpc::decode_weights
-  // validates the sizes against the network before calling this).
+  // remote node rebuilds the store it received over the wire
+  // (rpc::decode_weight_shard validates the sizes against the network first).
   static WeightStore from_layers(std::vector<LayerWeights> layers);
 
   // The layers node `node` executes under `plan`, as a per-layer mask: the
@@ -52,12 +52,6 @@ class WeightStore {
   // for a node name the plan gives no work to.
   static std::vector<bool> layers_for_node(const core::SerializablePlan& plan,
                                            const std::string& node);
-
-  // The per-tier slice of this store that `node` needs at boot: layers outside
-  // layers_for_node(plan, node) come back empty. This is what a d3c deployment
-  // bundle embeds — O(tier) parameter bytes instead of the full model.
-  WeightStore shard_for_plan(const core::SerializablePlan& plan,
-                             const std::string& node) const;
 
  private:
   std::vector<LayerWeights> per_layer_;

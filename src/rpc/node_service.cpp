@@ -132,24 +132,31 @@ class NodeService {
     }
   }
 
-  // AOT boot from a d3c deployment bundle: the node becomes live — model
-  // resolved against the zoo, weight shard decoded and validated, plan parsed
-  // — before any coordinator dials in, so the first kConfig it sees may be
-  // the weights-elided form. Throws on any malformation (a bundle that fails
-  // to load must kill the boot, not limp into serving), including a shard
-  // that does not cover every layer the plan assigns this node.
-  void preload(const core::DeploymentBundle& bundle) {
-    net_ = dnn::zoo::by_name(bundle.model_name);
-    WeightShard shard = decode_weight_shard(bundle.shard_bytes, *net_);
-    core::SerializablePlan plan = core::parse_plan_binary(bundle.plan_bytes, *net_);
-    const std::vector<bool> need =
-        exec::WeightStore::layers_for_node(plan, bundle.node_name);
+  // The one way a deployment is applied — an AOT --bundle boot (which makes
+  // the node live before any coordinator dials in) or a kConfig: resolve the
+  // model, parse the plan, decode the shard (or, when `elided`, keep the shard
+  // this node holds) and check that it covers every layer the plan assigns
+  // this node. Only then commit, so a throw leaves the node as it was (and a
+  // bundle that fails to load kills the boot instead of limping into serving).
+  void install(const core::DeploymentBundle& bundle, bool elided) {
+    if (elided && bundle.model_name != model_name_)
+      throw WireError("deployment: model '" + bundle.model_name + "' does not match loaded '" +
+                      model_name_ + "' despite equal weights hash");
+    dnn::Network net = dnn::zoo::by_name(bundle.model_name);
+    core::SerializablePlan plan = core::parse_plan_binary(bundle.plan_bytes, net);
+    std::optional<WeightShard> shard;
+    if (!elided) shard = decode_weight_shard(bundle.shard_bytes, net);
+    const std::vector<bool>& present = shard ? shard->present : weight_mask_;
+    const std::vector<bool> need = exec::WeightStore::layers_for_node(plan, bundle.node_name);
     for (std::size_t id = 0; id < need.size(); ++id)
-      if (need[id] && !shard.present[id])
-        throw WireError("bundle: plan assigns layer " + std::to_string(id) + " to '" +
-                        bundle.node_name + "' but the weight shard elides it");
-    weights_ = std::move(shard.weights);
-    weight_mask_ = std::move(shard.present);
+      if (need[id] && !present[id])
+        throw WireError("deployment: plan assigns layer " + std::to_string(id) + " to '" +
+                        bundle.node_name + "' but its weight shard elides it");
+    if (shard) {
+      weights_ = std::move(shard->weights);
+      weight_mask_ = std::move(shard->present);
+    }
+    net_ = std::move(net);
     plan_ = std::move(plan);
     node_name_ = bundle.node_name;
     model_name_ = bundle.model_name;
@@ -157,6 +164,7 @@ class NodeService {
     weights_hash_ = bundle.weights_hash;
     vsm_workers_ = bundle.vsm_workers;
     pool_.reset();  // rebuilt at this configuration's width on first use
+    requests_.clear();
   }
 
   // Accepts one dialled peer channel: the first frame must be kPeerHello with
@@ -269,76 +277,33 @@ class NodeService {
 
   static Frame ok() { return Frame{MsgKind::kOk, {}}; }
 
+  // kConfig: the body after the epoch is one deployment bundle, whose decode
+  // checks the content hash before it trusts any field. An empty shard means
+  // the coordinator elided the weights (a real shard is never empty: it
+  // carries its magic and a presence flag per layer).
   Frame config(WireReader& r) {
-    const std::uint8_t form = r.u8();
-    if (form > 1)
-      throw WireError("config: unknown form " + std::to_string(form));
-    const std::string node = r.str();
-    const std::string model = r.str();
-    std::vector<std::uint8_t> weight_bytes;
-    std::uint64_t weights_hash = 0;
-    if (form == 0) {
-      // Full form: the O(model) weights blob rides along; its hash is the
-      // content identity every later config is compared against.
-      weight_bytes = r.blob();
-      weights_hash = fnv1a(weight_bytes);
-    } else {
-      // Weights-elided form: O(1) — the coordinator names the hash of the
-      // full-model weights bytes it would have sent and relies on this node
-      // already holding them (boot bundle, or an earlier full kConfig).
-      weights_hash = r.u64();
-    }
-    const std::vector<std::uint8_t> plan_bytes = r.blob();
-    const std::uint32_t vsm_workers = r.u32();
-    r.expect_end("config");
-    const std::uint64_t plan_hash = fnv1a(plan_bytes);
-
+    const core::DeploymentBundle bundle = core::decode_bundle(r.rest());
+    const bool elided = bundle.shard_bytes.empty();
     // Idempotent on content identity — (node, model, plan hash, weights hash,
     // pool width) — NOT on raw body bytes: a standby coordinator taking over
-    // replays the same config (possibly in the other form, e.g. the elided
-    // one to a bundle-booted worker), and wiping per-request slots (and buddy
-    // replicas) here would destroy exactly the state the takeover needs. A
-    // different identity is a genuine reconfiguration and resets everything.
-    if (net_ && node == node_name_ && model == model_name_ && plan_hash == plan_hash_ &&
-        weights_hash == weights_hash_ && vsm_workers == vsm_workers_)
+    // replays the same deployment (possibly elided, e.g. to a bundle-booted
+    // worker), and wiping per-request slots (and buddy replicas) here would
+    // destroy exactly the state the takeover needs.
+    if (net_ && bundle.node_name == node_name_ && bundle.model_name == model_name_ &&
+        fnv1a(bundle.plan_bytes) == plan_hash_ && bundle.weights_hash == weights_hash_ &&
+        bundle.vsm_workers == vsm_workers_)
       return ok();
-
-    std::optional<core::SerializablePlan> plan;
-    if (form == 1) {
-      // The elided form can never *install* weights, so disagreement is
-      // answered kBundleMismatch — naming the hash this node actually holds
-      // (0 = none) — before any state mutation, and the coordinator fails
-      // loudly instead of running a version-skewed model.
-      if (!net_ || weights_hash != weights_hash_) {
-        WireWriter w;
-        w.u64(net_ ? weights_hash_ : 0);
-        return Frame{MsgKind::kBundleMismatch, w.take()};
-      }
-      if (model != model_name_)
-        throw WireError("config: model '" + model + "' does not match loaded '" +
-                        model_name_ + "' despite equal weights hash");
-      // Same weights, new plan (a genuine re-plan over the same deployment):
-      // a sharded store must still cover every layer the new plan gives us.
-      plan = core::parse_plan_binary(plan_bytes, *net_);
-      const std::vector<bool> need = exec::WeightStore::layers_for_node(*plan, node);
-      for (std::size_t id = 0; id < need.size(); ++id)
-        if (need[id] && id < weight_mask_.size() && !weight_mask_[id])
-          throw WireError("config: new plan assigns layer " + std::to_string(id) +
-                          " to '" + node + "' but its weight shard elides it");
-    } else {
-      net_ = dnn::zoo::by_name(model);
-      weights_ = decode_weights(weight_bytes, *net_);
-      weight_mask_.assign(net_->num_layers(), true);
-      plan = core::parse_plan_binary(plan_bytes, *net_);
+    // An elided bundle can never *install* weights, so disagreement is
+    // answered kBundleMismatch — naming the hash this node actually holds
+    // (0 = none) — before any state mutation, and the coordinator fails
+    // loudly instead of running a version-skewed model.
+    if (elided && (!net_ || bundle.weights_hash != weights_hash_)) {
+      WireWriter w;
+      w.u64(net_ ? weights_hash_ : 0);
+      return Frame{MsgKind::kBundleMismatch, w.take()};
     }
-    node_name_ = node;
-    model_name_ = model;
-    plan_ = std::move(plan);
-    plan_hash_ = plan_hash;
-    weights_hash_ = weights_hash;
-    vsm_workers_ = vsm_workers;
-    pool_.reset();  // rebuilt at this configuration's width on first use
-    requests_.clear();
+    // A different identity is a genuine reconfiguration: it resets everything.
+    install(bundle, elided);
     return ok();
   }
 
@@ -678,14 +643,14 @@ class NodeService {
   std::string node_name_;
   std::string model_name_;
   // Content identity of the applied configuration — what kConfig idempotence
-  // is keyed on, and what the weights-elided form is checked against.
-  // weights_hash_ is always the FULL model's encode_weights hash, even when
-  // this node holds only a bundle shard (the bundle carries it verbatim).
+  // is keyed on, and what a weights-elided bundle is checked against.
+  // weights_hash_ is the whole model's rpc::weights_hash, even though this
+  // node holds only its shard (the bundle carries it verbatim).
   std::uint64_t plan_hash_ = 0;
   std::uint64_t weights_hash_ = 0;
   std::uint32_t vsm_workers_ = 0;
-  // Per-layer presence in weights_: all-true after a full kConfig, the shard
-  // mask after a bundle boot — checked when a new plan arrives weights-elided.
+  // Per-layer presence in weights_ (the shard mask) — checked when a new plan
+  // arrives weights-elided.
   std::vector<bool> weight_mask_;
   std::optional<dnn::Network> net_;
   exec::WeightStore weights_;
@@ -803,7 +768,7 @@ Hangup serve_until_hangup(NodeService& service, const Socket* listener,
 
 void serve_node(int fd, const ServeOptions& options) {
   NodeService service;
-  if (options.bundle) service.preload(*options.bundle);
+  if (options.bundle) service.install(*options.bundle, /*elided=*/false);
   service.attach_coordinator(fd);
   std::uint64_t served = 0;
   serve_until_hangup(service, /*listener=*/nullptr, options, served);
@@ -811,7 +776,7 @@ void serve_node(int fd, const ServeOptions& options) {
 
 void serve_listen_node(const Socket& listener, const ServeOptions& options) {
   NodeService service;  // persists across coordinator connections
-  if (options.bundle) service.preload(*options.bundle);
+  if (options.bundle) service.install(*options.bundle, /*elided=*/false);
   service.poller().add(listener.fd(), static_cast<std::uint64_t>(listener.fd()));
   std::uint64_t served = 0;
   serve_until_hangup(service, &listener, options, served);

@@ -2,10 +2,11 @@
 //
 // A node process is a passive responder driven by an epoll loop (rpc::Poller)
 // over three fd classes: the coordinator connection, the node's peer listener,
-// and any inbound peer channels. After kConfig ships it the model name (resolved
-// against the shared zoo), the full weights, the deployment plan and its pool
-// width, it holds per-request slot state (slot 0 = raw input, slot i+1 =
-// layer i's output, plus per-tile VSM state for edge fan-out workers) and
+// and any inbound peer channels. Once it holds a deployment bundle — from a
+// --bundle boot or a kConfig: the model name (resolved against the shared
+// zoo), the weight shard of exactly the layers it runs, the deployment plan and
+// its pool width — it holds per-request slot state (slot 0 = raw input, slot
+// i+1 = layer i's output, plus per-tile VSM state for edge fan-out workers) and
 // answers the coordinator's kPut / kRunLayer / kRunStack / kGet / kPutTile /
 // kRunTile / kGetTile / kEnd requests until EOF or kShutdown.
 //
@@ -46,10 +47,10 @@ struct ServeOptions {
   // service time concentrates in the compute calls. d3_node: --service-ms.
   double service_seconds = 0.0;
   // AOT boot (d3_node --bundle): the node comes up already configured from
-  // this d3c deployment bundle — model resolved, weight shard decoded, plan
-  // parsed — before the first coordinator frame, so a coordinator may skip
-  // the O(model) weights blob entirely (the weights-elided kConfig form).
-  // Must outlive the serve call. nullptr = classic kConfig-only boot.
+  // this d3c deployment bundle — installed exactly like a kConfig's — before
+  // the first coordinator frame, so a coordinator may elide the weight shard
+  // from its kConfig. Must outlive the serve call. nullptr = the node waits
+  // for a kConfig.
   const core::DeploymentBundle* bundle = nullptr;
 };
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "core/bundle.h"
 #include "rpc/wire.h"
 
 namespace d3::rpc {
@@ -204,17 +205,31 @@ Frame SocketTransport::roundtrip_locked(Node& node, MsgKind kind,
   return std::move(op->reply);
 }
 
-void SocketTransport::recover_locked(Node& node, const std::string& error) {
+void SocketTransport::drop_channel_locked(Node& node) {
   node.socket.close();
-  // Heartbeat and correlation bookkeeping was about the dead socket; a fresh
-  // incarnation starts clean. (Callers with queued ops move them out first —
-  // fail_pending_and_recover_locked completes them with this recovery's
-  // outcome; anything still here belonged to no live waiter.)
   node.pending.clear();
   node.outbox.clear();
   node.outbox_frames = 0;
   node.ping_op.reset();
   node.misses.store(0, std::memory_order_relaxed);
+}
+
+void SocketTransport::redial_locked(Node& node) {
+  drop_channel_locked(node);
+  node.socket = node.reconnect();
+  node.peer = describe_peer(node.socket.fd());
+  // A fresh process knows nothing: replay the cached deployment so the
+  // channel is immediately serviceable.
+  if (!node.config_body.empty())
+    roundtrip_locked(node, MsgKind::kConfig, node.config_body, MsgKind::kOk);
+}
+
+void SocketTransport::recover_locked(Node& node, const std::string& error) {
+  // Heartbeat and correlation bookkeeping was about the dead socket. (Callers
+  // with queued ops move them out first — fail_pending_and_recover_locked
+  // completes them with this recovery's outcome; anything still here belonged
+  // to no live waiter.)
+  drop_channel_locked(node);
   if (!node.reconnect)
     throw ChannelDied(node.name, /*channel_restored=*/false,
                       "node '" + node.name + "' (peer " + node.peer +
@@ -227,43 +242,7 @@ void SocketTransport::recover_locked(Node& node, const std::string& error) {
     backoff = std::chrono::milliseconds(static_cast<std::chrono::milliseconds::rep>(
         static_cast<double>(backoff.count()) * node.retry.backoff_multiplier));
     try {
-      node.socket = node.reconnect();
-      node.peer = describe_peer(node.socket.fd());
-      // A fresh process knows nothing: replay the cached deployment bundle so
-      // the channel is immediately serviceable for recovered requests. Direct
-      // frame I/O, not the pending queue — the queue was torn down with the
-      // dead socket, and exactly one frame is outstanding here.
-      if (!node.config_body.empty()) {
-        const std::uint64_t corr = node.next_corr++;
-        write_frame(node.socket.fd(), MsgKind::kConfig, node.config_body, corr);
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        const Frame reply = read_frame(node.socket.fd());
-        if (reply.corr != corr)
-          throw SocketError("node '" + node.name + "': kConfig replay correlation desync");
-        if (reply.kind == MsgKind::kFenced) {
-          // The fresh incarnation was already configured by a successor
-          // coordinator: this one is deposed, not disconnected. Not a replay
-          // failure — retrying cannot help.
-          WireReader r(reply.body);
-          throw Fenced(node.name, r.u64());
-        }
-        if (reply.kind == MsgKind::kBundleMismatch) {
-          // The fresh incarnation holds different weights than the elided
-          // config replay named (it lost its bundle-loaded state with the old
-          // process, or booted from a stale bundle): version skew, not a
-          // transient failure — retrying cannot help.
-          WireReader r(reply.body);
-          throw BundleMismatch(node.name, r.u64(), weights_hash_);
-        }
-        if (reply.kind != MsgKind::kOk) {
-          std::string message = "reply kind " + std::to_string(static_cast<int>(reply.kind));
-          if (reply.kind == MsgKind::kError) {
-            WireReader r(reply.body);
-            message = r.str();
-          }
-          throw SocketError("node '" + node.name + "': kConfig replay rejected: " + message);
-        }
-      }
+      redial_locked(node);
       reconnects_.fetch_add(1, std::memory_order_relaxed);
       // The channel is healthy again, but this worker incarnation never saw
       // the in-flight request's kBegin/kPut history — the engine must reopen
@@ -402,27 +381,25 @@ void SocketTransport::configure(const std::string& model_name, const dnn::Networ
                                 const exec::WeightStore& weights,
                                 std::span<const std::uint8_t> plan_binary,
                                 std::size_t vsm_workers) {
-  // The weights bytes are encoded either way: elided mode still names their
-  // hash — the O(1) identity a bundle-booted worker checks its shard against.
-  const std::vector<std::uint8_t> weight_bytes = encode_weights(weights, net);
-  weights_hash_ = fnv1a(weight_bytes);
+  weights_hash_ = weights_hash(weights, net);
   for (auto& [name, node] : nodes_) {
     if (node->detached.load(std::memory_order_acquire)) continue;
-    WireWriter w;
-    // The fencing epoch leads the body so workers can gate before parsing the
+    std::vector<std::uint8_t> bundle_bytes;
+    {  // scoped: the compiled shard is freed before the body copies it
+      core::DeploymentBundle bundle =
+          core::compile_bundle(net, weights, plan_binary, name,
+                               static_cast<std::uint32_t>(vsm_workers), weights_hash_,
+                               elide_weights_);
+      bundle.model_name = model_name;
+      bundle_bytes = core::encode_bundle(bundle);
+    }
+    // The fencing epoch leads the body so workers can gate before decoding the
     // bundle; it rides the cached body too, so the kConfig replay after a
     // reconnect carries this coordinator's incarnation automatically.
+    WireWriter w;
     w.u64(epoch_);
-    w.u8(elide_weights_ ? 1 : 0);
-    w.str(name);
-    w.str(model_name);
-    if (elide_weights_)
-      w.u64(weights_hash_);
-    else
-      w.blob(weight_bytes);
-    w.blob(plan_binary);
-    w.u32(static_cast<std::uint32_t>(vsm_workers));
     node->config_body = w.take();
+    node->config_body.insert(node->config_body.end(), bundle_bytes.begin(), bundle_bytes.end());
     config_bytes_sent_.fetch_add(node->config_body.size(), std::memory_order_relaxed);
     call(*node, MsgKind::kConfig, node->config_body);
   }
@@ -446,19 +423,10 @@ void SocketTransport::set_reconnect(const std::string& node_name, ReconnectFn fn
 
 void SocketTransport::readmit(Node& node) {
   {
+    // Configured before the worker rejoins the shard map, so the first tile
+    // call it sees is serviceable.
     std::lock_guard<std::mutex> lock(node.mutex);
-    // Any leftover correlation state belonged to the dead incarnation.
-    node.pending.clear();
-    node.outbox.clear();
-    node.outbox_frames = 0;
-    node.ping_op.reset();
-    node.socket = node.reconnect();
-    node.peer = describe_peer(node.socket.fd());
-    // The fresh incarnation knows nothing: replay the cached deployment
-    // bundle before the worker rejoins the shard map, so the first tile call
-    // it sees is serviceable.
-    if (!node.config_body.empty())
-      roundtrip_locked(node, MsgKind::kConfig, node.config_body, MsgKind::kOk);
+    redial_locked(node);
   }
   std::lock_guard<std::mutex> lock(shard_mutex_);
   node.detached.store(false, std::memory_order_release);

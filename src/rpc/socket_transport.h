@@ -90,9 +90,9 @@ class SocketTransport final : public Transport {
     // issue_* facade batches a tier's independent sends into one outbox and
     // this counts how often the wire actually saw them coalesced.
     std::uint64_t pipelined_sends = 0;
-    // kConfig body bytes sent across all nodes (cumulative over configure()
-    // calls and replays): O(model) per node in the classic form, O(1) per
-    // node in the weights-elided form — the bundle-boot saving, measured.
+    // kConfig body bytes configure() sent across all nodes (cumulative over
+    // calls): each node's own shard of the model, or O(1) per node when the
+    // weights are elided — the bundle-boot saving, measured.
     std::uint64_t config_bytes_sent = 0;
   };
 
@@ -139,10 +139,11 @@ class SocketTransport final : public Transport {
   void add_tile_worker(Socket socket);
   bool attached(const std::string& node) const { return nodes_.count(node) > 0; }
 
-  // Ships the deployment bundle — model name, full weights, the plan in binary
-  // wire form, and the edge pool width — to every attached node, and caches it
-  // for kConfig replay on reconnect. Throws TransportError if any worker
-  // rejects it.
+  // Sends every attached node its own deployment bundle (core::compile_bundle)
+  // in kConfig — model name, the plan in binary wire form, the edge pool width
+  // and the shard of exactly the layers that node runs — and caches it for
+  // kConfig replay on reconnect. Throws TransportError if any worker rejects
+  // it.
   void configure(const std::string& model_name, const dnn::Network& net,
                  const exec::WeightStore& weights, std::span<const std::uint8_t> plan_binary,
                  std::size_t vsm_workers);
@@ -201,12 +202,12 @@ class SocketTransport final : public Transport {
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
   std::uint64_t epoch() const { return epoch_; }
 
-  // Weights-elided kConfig: configure() (and its reconnect replay) sends the
-  // FNV-1a hash of the full-model weights bytes instead of the O(model) blob
-  // itself, relying on every worker having booted from a d3c bundle (or been
-  // fully configured once before). A worker holding a different hash — or
-  // none — answers kBundleMismatch, surfaced here as rpc::BundleMismatch
-  // before any state mutation. Call before configure().
+  // Weights-elided kConfig: configure() (and its reconnect replay) sends each
+  // node's bundle without its shard, naming only rpc::weights_hash, and relies
+  // on every worker having booted from a d3c bundle (or been configured once
+  // before). A worker holding a different hash — or none — answers
+  // kBundleMismatch, surfaced here as rpc::BundleMismatch before any state
+  // mutation. Call before configure().
   void set_elide_weights(bool elide) { elide_weights_ = elide; }
   bool elide_weights() const { return elide_weights_; }
 
@@ -376,18 +377,22 @@ class SocketTransport final : public Transport {
   // the recovery outcome (ChannelDied) so parked waiters see the death too,
   // then the same exception propagates to the caller that hit the failure.
   [[noreturn]] void fail_pending_and_recover_locked(Node& node, const std::string& error);
-  // Channel-death recovery: re-establish under bounded backoff (reconnect fn +
-  // kConfig replay), then throw TransportError for the interrupted call.
+  // Channel-death recovery: re-establish under bounded backoff (redial_locked),
+  // then throw TransportError for the interrupted call.
   [[noreturn]] void recover_locked(Node& node, const std::string& error);
+  // Closes the node's socket and forgets its correlation and heartbeat state.
+  void drop_channel_locked(Node& node);
+  // Dials a fresh incarnation through the reconnect hook and replays the
+  // cached kConfig through roundtrip_locked; throws what either throws.
+  void redial_locked(Node& node);
   // Issues one kPut of `tensor` into `slot` on `node` (seeds and sends).
   OpHandle issue_put(std::uint64_t request, Node& node, const runtime::MessageRecord& meta,
                      std::uint64_t slot, const dnn::Tensor& tensor);
   // One peer handshake: kPeerListen on `to`, kConnectPeer on `from`.
   void link_peers(Node& from, Node& to);
   std::string advertised_address(const Node& to) const;
-  // Returns a pruned (detached) tile worker to the shard map: dial a fresh
-  // incarnation via its reconnect hook, replay kConfig, restore its
-  // deterministic shard position.
+  // Returns a pruned (detached) tile worker to the shard map: redial_locked,
+  // then restore its deterministic shard position.
   void readmit(Node& node);
   std::uint64_t push_peer(Node& from, std::uint64_t request,
                           const runtime::MessageRecord& meta, std::uint64_t slot);
@@ -409,8 +414,8 @@ class SocketTransport final : public Transport {
   std::string buddy_name_;
   std::uint64_t epoch_ = 0;
   bool elide_weights_ = false;
-  // Hash of the full-model weights bytes named by the last configure() — what
-  // a kBundleMismatch reply is reported against.
+  // rpc::weights_hash of the last configure() — what a kBundleMismatch reply
+  // is reported against.
   std::uint64_t weights_hash_ = 0;
   OpObserver op_observer_;
   bool heartbeats_ = false;

@@ -97,7 +97,7 @@ class Fenced : public TransportError {
 };
 
 // A worker rejected a weights-elided kConfig because the weights hash it holds
-// (from its boot bundle or an earlier full kConfig) is not the hash the
+// (from its boot bundle or an earlier kConfig) is not the hash the
 // coordinator named: coordinator and worker disagree about the deployed model
 // version. Rejected before any state mutation, and — like Fenced — NOT a
 // ChannelDied: the channel is healthy and there is nothing to recover. Version

@@ -248,7 +248,7 @@ Envelope decode_envelope(std::span<const std::uint8_t> bytes) {
   return env;
 }
 
-// --- Weights -----------------------------------------------------------------
+// --- Weight shards -----------------------------------------------------------
 
 namespace {
 
@@ -285,53 +285,6 @@ ExpectedSizes expected_sizes(const dnn::Network& net, dnn::LayerId id) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> encode_weights(const exec::WeightStore& weights,
-                                         const dnn::Network& net) {
-  if (weights.size() != net.num_layers())
-    throw WireError("weights: store holds " + std::to_string(weights.size()) +
-                    " layers, network has " + std::to_string(net.num_layers()));
-  WireWriter w;
-  w.u32(kWeightsMagic);
-  w.u16(kWireVersion);
-  w.u32(static_cast<std::uint32_t>(weights.size()));
-  for (dnn::LayerId id = 0; id < weights.size(); ++id) {
-    const exec::LayerWeights& lw = weights.layer(id);
-    w.f32_array(lw.weights);
-    w.f32_array(lw.bias);
-    w.f32_array(lw.bn_scale);
-    w.f32_array(lw.bn_shift);
-  }
-  return w.take();
-}
-
-exec::WeightStore decode_weights(std::span<const std::uint8_t> bytes,
-                                 const dnn::Network& net) {
-  WireReader r(bytes);
-  if (r.u32() != kWeightsMagic) throw WireError("weights: bad magic");
-  check_version(r.u16(), "weights");
-  const std::uint32_t count = r.u32();
-  if (count != net.num_layers())
-    throw WireError("weights: " + std::to_string(count) + " layers on the wire, network has " +
-                    std::to_string(net.num_layers()));
-  std::vector<exec::LayerWeights> layers(count);
-  for (std::uint32_t id = 0; id < count; ++id) {
-    exec::LayerWeights& lw = layers[id];
-    lw.weights = r.f32_array();
-    lw.bias = r.f32_array();
-    lw.bn_scale = r.f32_array();
-    lw.bn_shift = r.f32_array();
-    const ExpectedSizes e = expected_sizes(net, id);
-    if (lw.weights.size() != e.weights || lw.bias.size() != e.bias ||
-        lw.bn_scale.size() != e.bn_scale || lw.bn_shift.size() != e.bn_shift)
-      throw WireError("weights: layer '" + net.layer(id).spec.name +
-                      "' parameter sizes do not match the network");
-  }
-  r.expect_end("weights");
-  return exec::WeightStore::from_layers(std::move(layers));
-}
-
-// --- Weight shards -----------------------------------------------------------
 
 std::vector<std::uint8_t> encode_weight_shard(const exec::WeightStore& weights,
                                               const dnn::Network& net,
@@ -391,6 +344,10 @@ WeightShard decode_weight_shard(std::span<const std::uint8_t> bytes,
   r.expect_end("weight shard");
   shard.weights = exec::WeightStore::from_layers(std::move(layers));
   return shard;
+}
+
+std::uint64_t weights_hash(const exec::WeightStore& weights, const dnn::Network& net) {
+  return fnv1a(encode_weight_shard(weights, net, std::vector<bool>(net.num_layers(), true)));
 }
 
 }  // namespace d3::rpc

@@ -12,7 +12,8 @@
 //   * tensor    — shape + raw float bits (encode_tensor / decode_tensor)
 //   * Envelope  — one framed inter-node message: the engine's MessageRecord
 //                 metadata plus the payload bytes (usually an encoded tensor)
-//   * weights   — a WeightStore, shipped to remote nodes at configure time
+//   * weight shard — the layers of a WeightStore one node runs, shipped to it
+//                 inside its deployment bundle (core/bundle.h)
 #pragma once
 
 #include <cstdint>
@@ -37,15 +38,14 @@ class WireError : public std::runtime_error {
 
 inline constexpr std::uint32_t kTensorMagic = 0xD3A00001;
 inline constexpr std::uint32_t kEnvelopeMagic = 0xD3A00002;
-inline constexpr std::uint32_t kWeightsMagic = 0xD3A00003;
 inline constexpr std::uint32_t kPlanMagic = 0xD3A00004;  // used by core::plan_io
 inline constexpr std::uint32_t kBundleMagic = 0xD3A00006;  // used by core::bundle
 inline constexpr std::uint32_t kWeightShardMagic = 0xD3A00007;
 inline constexpr std::uint16_t kWireVersion = 1;
 
 // FNV-1a over a byte run: the content-hash primitive shared by the request
-// journal's plan stamp, the deployment-bundle checksum, and the
-// weights-elided kConfig identity. Not cryptographic — it detects version
+// journal's plan stamp, the deployment-bundle checksum, and the deployment's
+// weights identity (weights_hash). Not cryptographic — it detects version
 // skew and corruption, not tampering.
 inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -146,27 +146,22 @@ Envelope decode_envelope(WireReader& r);
 std::vector<std::uint8_t> encode_envelope(const Envelope& envelope);
 Envelope decode_envelope(std::span<const std::uint8_t> bytes);
 
-// --- Weights -----------------------------------------------------------------
-
-// Ships every layer's parameters. decode validates the store against `net`
-// (layer count and per-layer parameter sizes), so a worker never runs kernels
-// over short weight buffers.
-std::vector<std::uint8_t> encode_weights(const exec::WeightStore& weights,
-                                         const dnn::Network& net);
-exec::WeightStore decode_weights(std::span<const std::uint8_t> bytes,
-                                 const dnn::Network& net);
-
 // --- Weight shards -----------------------------------------------------------
 
-// A per-tier slice of the store: only the layers `keep` marks carry their
+// A per-node slice of the store: only the layers `keep` marks carry their
 // parameters; the rest are encoded as absent (one flag byte, no arrays). A
 // parameterless layer that `keep` marks is still "present" — presence follows
 // the plan, not the parameter count, so a shard/plan disagreement is always
-// detectable. This is what a d3c deployment bundle embeds: O(tier) bytes
-// instead of the O(model) kConfig weights blob.
+// detectable. This is what a deployment bundle embeds: O(tier) bytes, never
+// the whole model.
 std::vector<std::uint8_t> encode_weight_shard(const exec::WeightStore& weights,
                                               const dnn::Network& net,
                                               const std::vector<bool>& keep);
+
+// The deployment's weights identity: FNV-1a over the shard encoding that keeps
+// every layer. Every node's bundle carries the same value whichever shard it
+// holds, so a worker checks a weights-elided kConfig against it in O(1).
+std::uint64_t weights_hash(const exec::WeightStore& weights, const dnn::Network& net);
 
 struct WeightShard {
   // Full-sized store; layers absent from the shard hold empty parameter
@@ -178,8 +173,8 @@ struct WeightShard {
 };
 
 // Strict decode: present layers are validated against `net`'s per-layer
-// parameter sizes exactly like decode_weights; truncation, bad magic and
-// trailing bytes raise WireError.
+// parameter sizes, so a worker never runs kernels over short weight buffers;
+// truncation, bad magic and trailing bytes raise WireError.
 WeightShard decode_weight_shard(std::span<const std::uint8_t> bytes,
                                 const dnn::Network& net);
 

@@ -112,9 +112,9 @@ class StandbyCoordinator {
     // Buddy replica holder to arm on the promoted transport ("" = none).
     std::string buddy;
     std::size_t vsm_workers = 0;
-    // Send the weights-elided kConfig form on the promotion redials (the
-    // workers were booted from d3c bundles): plan + weights hash instead of
-    // the O(model) weights blob. A hash disagreement makes promote() throw
+    // Elide the weight shards from the promotion redials' kConfig (the
+    // workers were booted from d3c bundles): each bundle names only the
+    // weights hash. A hash disagreement makes promote() throw
     // rpc::BundleMismatch — loud, never half-configured.
     bool elide_weights = false;
     // Lower bound on the active coordinator's epoch, for the case where the

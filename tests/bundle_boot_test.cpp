@@ -1,19 +1,22 @@
-// AOT bundle-boot acceptance (ISSUE 10). Three worker processes boot from d3c
-// deployment bundles (`d3_node --listen 0 --bundle <file> <name>`) and a
-// coordinator in weights-elided mode drives them with an O(1) kConfig — plan
-// bytes + weights hash, no weights blob. The lossless contract must carry
-// across the boot path: outputs bitwise-identical to exec::Executor and the
-// transcript byte-identical to the classic full-kConfig run. Version skew
-// (bundle compiled from different weights, or no bundle at all) must be
+// AOT bundle-boot acceptance. Three worker processes boot from d3c deployment
+// bundles (`d3_node --listen 0 --bundle <file> <name>`) and a coordinator in
+// weights-elided mode drives them with an O(1) kConfig — each node's bundle
+// without its shard. The lossless contract must carry across the boot path:
+// outputs bitwise-identical to exec::Executor and the transcript
+// byte-identical to a run whose kConfig ships each node its shard. Version
+// skew (bundle compiled from different weights, or no bundle at all) must be
 // answered kBundleMismatch and surfaced as rpc::BundleMismatch BEFORE any
 // worker state mutates; a bundle whose shard elides a plan-assigned layer
-// must refuse to boot at all.
+// must refuse to boot at all, and is refused as a kConfig too.
+#include <csignal>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,24 +74,18 @@ core::SerializablePlan three_tier_plan(const dnn::Network& net) {
   return core::SerializablePlan{net.name(), a, std::nullopt};
 }
 
-// What d3c emits: one bundle per tier node, same full-model weights hash in
-// each, per-node weight shard, shared plan and book.
+// What d3c emits: one bundle per tier node, same weights hash in each,
+// per-node weight shard, shared plan and book.
 std::string compile_bundles(const dnn::Network& net, const exec::WeightStore& weights,
                             const core::SerializablePlan& plan, std::uint32_t vsm_workers,
                             const char* dir_name) {
   const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) / dir_name;
   std::filesystem::create_directories(dir);
   const std::vector<std::uint8_t> plan_bytes = core::serialize_plan_binary(plan);
-  const std::uint64_t weights_hash = rpc::fnv1a(rpc::encode_weights(weights, net));
+  const std::uint64_t weights_hash = rpc::weights_hash(weights, net);
   for (const char* node : {"device0", "edge0", "cloud0"}) {
-    core::DeploymentBundle bundle;
-    bundle.node_name = node;
-    bundle.model_name = net.name();
-    bundle.vsm_workers = vsm_workers;
-    bundle.weights_hash = weights_hash;
-    bundle.plan_bytes = plan_bytes;
-    bundle.shard_bytes = rpc::encode_weight_shard(
-        weights, net, exec::WeightStore::layers_for_node(plan, node));
+    core::DeploymentBundle bundle =
+        core::compile_bundle(net, weights, plan_bytes, node, vsm_workers, weights_hash);
     bundle.book_text =
         "[coordinator]\nactive 127.0.0.1:9000\n[workers]\n"
         "device0 127.0.0.1:9001\nedge0 127.0.0.1:9002\ncloud0 127.0.0.1:9003\n";
@@ -97,8 +94,60 @@ std::string compile_bundles(const dnn::Network& net, const exec::WeightStore& we
   return dir.string();
 }
 
-// A three-process cluster whose workers boot from bundles (or classically when
-// `bundle_dir` is empty), plus a coordinator transport dialing them.
+// What configure() sends the three tier nodes: per node, the u64 fencing
+// epoch and that node's compiled bundle — nothing else.
+std::uint64_t expected_config_bytes(const dnn::Network& net, const exec::WeightStore& weights,
+                                    const std::vector<std::uint8_t>& plan_bytes, bool elided) {
+  std::uint64_t total = 0;
+  for (const char* node : {"device0", "edge0", "cloud0"})
+    total += 8 + core::encode_bundle(core::compile_bundle(net, weights, plan_bytes, node, 0,
+                                                          rpc::weights_hash(weights, net),
+                                                          elided))
+                     .size();
+  return total;
+}
+
+// A kConfig body: the u64 fencing epoch (0) and one encoded bundle.
+std::vector<std::uint8_t> config_body(const core::DeploymentBundle& bundle) {
+  std::vector<std::uint8_t> body(8, 0);
+  const std::vector<std::uint8_t> bytes = core::encode_bundle(bundle);
+  body.insert(body.end(), bytes.begin(), bytes.end());
+  return body;
+}
+
+std::vector<std::uint8_t> request_body(std::uint64_t request) {
+  rpc::WireWriter w;
+  w.u64(request);
+  return w.take();
+}
+
+// serve_node on a thread at one end of a socketpair (booted from `bundle`
+// unless null); reply() sends one coordinator frame and reads the answer.
+struct PairedWorker {
+  int fds[2] = {-1, -1};
+  std::thread thread;
+
+  explicit PairedWorker(const core::DeploymentBundle* bundle) {
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) throw std::runtime_error("socketpair");
+    rpc::ServeOptions options;
+    options.bundle = bundle;
+    thread = std::thread([fd = fds[0], options] { rpc::serve_node(fd, options); });
+  }
+  ~PairedWorker() {
+    ::close(fds[1]);  // EOF ends the serve loop
+    thread.join();
+    ::close(fds[0]);
+  }
+
+  rpc::Frame reply(rpc::MsgKind kind, const std::vector<std::uint8_t>& body) const {
+    rpc::write_frame(fds[1], kind, body);
+    return rpc::read_frame(fds[1]);
+  }
+};
+
+// A three-process cluster whose workers boot from bundles (or wait for a
+// kConfig when `bundle_dir` is empty), plus a coordinator transport dialing
+// them.
 struct Cluster {
   std::map<std::string, std::unique_ptr<rpc::ListenWorkerProcess>> procs;
   std::shared_ptr<rpc::SocketTransport> transport =
@@ -123,9 +172,12 @@ TEST(BundleBoot, ElidedConfigRunsByteIdenticalToFullConfig) {
   const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
   const dnn::Tensor reference = exec::Executor(net, weights).run(frame);
 
-  // Classic boot: empty workers, full kConfig ships the weights blob.
+  // Empty workers: kConfig ships each node its bundle, shard included.
+  const std::vector<std::uint8_t> plan_bytes = core::serialize_plan_binary(plan);
   Cluster full("");
-  full.transport->configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
+  full.transport->configure(net.name(), net, weights, plan_bytes, 0);
+  EXPECT_EQ(full.transport->stats().config_bytes_sent,
+            expected_config_bytes(net, weights, plan_bytes, /*elided=*/false));
   OnlineEngine::Options full_options;
   full_options.transport = full.transport;
   const OnlineEngine full_engine(net, weights, plan.assignment, plan.vsm, full_options);
@@ -133,11 +185,13 @@ TEST(BundleBoot, ElidedConfigRunsByteIdenticalToFullConfig) {
   expect_identical(via_full.output, reference);
 
   // AOT boot: workers come up configured from their bundles, the coordinator
-  // sends plan + weights hash only.
+  // sends each bundle without its shard.
   const std::string dir = compile_bundles(net, weights, plan, 0, "bundles-ok");
   Cluster aot(dir);
   aot.transport->set_elide_weights(true);
-  aot.transport->configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
+  aot.transport->configure(net.name(), net, weights, plan_bytes, 0);
+  EXPECT_EQ(aot.transport->stats().config_bytes_sent,
+            expected_config_bytes(net, weights, plan_bytes, /*elided=*/true));
   OnlineEngine::Options aot_options;
   aot_options.transport = aot.transport;
   const OnlineEngine aot_engine(net, weights, plan.assignment, plan.vsm, aot_options);
@@ -151,9 +205,9 @@ TEST(BundleBoot, ElidedConfigRunsByteIdenticalToFullConfig) {
 
 TEST(BundleBoot, FullConfigOnBundleBootedWorkerIsIdempotent) {
   // A coordinator that does NOT elide (say, an old standby) configures a
-  // bundle-booted worker with the full weights blob. The content identity
-  // (plan hash, weights hash) matches what the bundle preloaded, so the worker
-  // keeps its shard-backed state — and still runs correctly.
+  // bundle-booted worker with its shard. The content identity (plan hash,
+  // weights hash) matches the bundle it booted from, so the worker keeps its
+  // state — and still runs correctly.
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 111);
   const core::SerializablePlan plan = three_tier_plan(net);
@@ -185,8 +239,8 @@ TEST(BundleBoot, StaleBundleAnswersBundleMismatchBeforeAnyStateMutation) {
                                  core::serialize_plan_binary(plan), 0);
     FAIL() << "configure() must surface the version skew";
   } catch (const rpc::BundleMismatch& e) {
-    EXPECT_EQ(e.worker_hash(), rpc::fnv1a(rpc::encode_weights(stale, net)));
-    EXPECT_EQ(e.wanted_hash(), rpc::fnv1a(rpc::encode_weights(current, net)));
+    EXPECT_EQ(e.worker_hash(), rpc::weights_hash(stale, net));
+    EXPECT_EQ(e.wanted_hash(), rpc::weights_hash(current, net));
   }
   // The skew is diagnosed before any state mutation: recompiling (here,
   // re-configuring with the weights the bundles actually hold) brings the
@@ -219,21 +273,53 @@ TEST(BundleBoot, ElidingAgainstAnUnbootstrappedWorkerIsRefused) {
   }
 }
 
-TEST(BundleBoot, ShardPlanDisagreementRefusesToBoot) {
-  // A bundle whose shard elides a layer its own plan assigns to the node is
-  // corrupt by construction (d3c can never emit it): preload must throw
-  // before the node starts serving.
+TEST(BundleBoot, ElidedConfigReplayToAnUnbootedIncarnationIsNotRetried) {
+  // edge0 dies and the reconnect hook reaches a worker that booted no bundle.
+  // The elided kConfig replay is answered kBundleMismatch (worker hash 0):
+  // version skew, which no retry can cure, so the run throws after one dial.
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 111);
   const core::SerializablePlan plan = three_tier_plan(net);
-  core::DeploymentBundle bundle;
-  bundle.node_name = "device0";
-  bundle.model_name = net.name();
-  bundle.weights_hash = rpc::fnv1a(rpc::encode_weights(weights, net));
-  bundle.plan_bytes = core::serialize_plan_binary(plan);
+  util::Rng rng(112);
+  const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+
+  Cluster cluster(compile_bundles(net, weights, plan, 0, "bundles-replay"));
+  cluster.transport->set_elide_weights(true);
+  cluster.transport->configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
+  ::kill(cluster.procs["edge0"]->pid(), SIGKILL);
+  const rpc::ListenWorkerProcess unbooted(D3_NODE_BINARY);
+  int dials = 0;
+  cluster.transport->set_reconnect(
+      "edge0",
+      [&] {
+        ++dials;
+        return unbooted.dial();
+      },
+      rpc::SocketTransport::RetryPolicy{3, std::chrono::milliseconds(5), 2.0});
+  OnlineEngine::Options options;
+  options.transport = cluster.transport;
+  const OnlineEngine engine(net, weights, plan.assignment, plan.vsm, options);
+  try {
+    engine.infer(frame);
+    FAIL() << "a replay to an unbooted incarnation must surface the skew";
+  } catch (const rpc::BundleMismatch& e) {
+    EXPECT_EQ(e.worker_hash(), 0u);
+  }
+  EXPECT_EQ(dials, 1);
+}
+
+TEST(BundleBoot, ShardPlanDisagreementRefusesToBoot) {
+  // A bundle whose shard elides a layer its own plan assigns to the node is
+  // corrupt by construction (d3c can never emit it): the boot must throw
+  // before the node starts serving.
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 111);
+  const std::vector<std::uint8_t> plan_bytes =
+      core::serialize_plan_binary(three_tier_plan(net));
+  const std::uint64_t hash = rpc::weights_hash(weights, net);
   // edge0's shard in device0's bundle: the device layers carry no parameters.
-  bundle.shard_bytes = rpc::encode_weight_shard(
-      weights, net, exec::WeightStore::layers_for_node(plan, "edge0"));
+  core::DeploymentBundle bundle = core::compile_bundle(net, weights, plan_bytes, "edge0", 0, hash);
+  bundle.node_name = "device0";
   bundle.book_text = "[workers]\ndevice0 127.0.0.1:9001\n";
 
   int fds[2];
@@ -243,6 +329,65 @@ TEST(BundleBoot, ShardPlanDisagreementRefusesToBoot) {
   EXPECT_THROW(rpc::serve_node(fds[0], options), rpc::WireError);
   ::close(fds[0]);
   ::close(fds[1]);
+
+  // The same bundle as a kConfig body goes through the same install and is
+  // answered kError, leaving the node unconfigured (a kBegin is refused too);
+  // a good bundle then installs and the node serves.
+  PairedWorker worker(nullptr);
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kConfig, config_body(bundle)).kind,
+            rpc::MsgKind::kError);
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kBegin, request_body(1)).kind, rpc::MsgKind::kError);
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kConfig,
+                         config_body(core::compile_bundle(net, weights, plan_bytes, "device0",
+                                                          0, hash)))
+                .kind,
+            rpc::MsgKind::kOk);
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kBegin, request_body(1)).kind, rpc::MsgKind::kOk);
+}
+
+TEST(BundleBoot, SameDeploymentKConfigKeepsRequestState) {
+  // A kConfig naming the deployment the worker already holds — shard-carrying
+  // or elided — is answered kOk without touching state, so a request opened
+  // before it keeps its slots. A different identity (here only the pool
+  // width) reinstalls and resets them.
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 111);
+  const std::vector<std::uint8_t> plan_bytes =
+      core::serialize_plan_binary(three_tier_plan(net));
+  const std::uint64_t hash = rpc::weights_hash(weights, net);
+  const core::DeploymentBundle booted =
+      core::compile_bundle(net, weights, plan_bytes, "device0", 0, hash);
+  PairedWorker worker(&booted);
+
+  util::Rng rng(113);
+  rpc::Envelope input;
+  input.payload = rpc::encode_tensor(exec::random_tensor(net.input_shape(), rng));
+  rpc::WireWriter put;
+  put.u64(1);
+  put.u64(0);
+  rpc::encode_envelope(put, input);
+  rpc::WireWriter get;
+  get.u64(1);
+  get.u64(0);
+  ASSERT_EQ(worker.reply(rpc::MsgKind::kBegin, request_body(1)).kind, rpc::MsgKind::kOk);
+  ASSERT_EQ(worker.reply(rpc::MsgKind::kPut, put.buffer()).kind, rpc::MsgKind::kOk);
+
+  for (const bool elided : {false, true}) {
+    EXPECT_EQ(worker.reply(rpc::MsgKind::kConfig,
+                           config_body(core::compile_bundle(net, weights, plan_bytes, "device0",
+                                                            0, hash, elided)))
+                  .kind,
+              rpc::MsgKind::kOk);
+    const rpc::Frame kept = worker.reply(rpc::MsgKind::kGet, get.buffer());
+    ASSERT_EQ(kept.kind, rpc::MsgKind::kTensor) << "elided=" << elided;
+    EXPECT_EQ(kept.body, input.payload);
+  }
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kConfig,
+                         config_body(core::compile_bundle(net, weights, plan_bytes, "device0",
+                                                          1, hash)))
+                .kind,
+            rpc::MsgKind::kOk);
+  EXPECT_EQ(worker.reply(rpc::MsgKind::kGet, get.buffer()).kind, rpc::MsgKind::kErrorState);
 }
 
 TEST(BundleBoot, VsmPoolWidthRidesTheBundle) {

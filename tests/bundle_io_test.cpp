@@ -1,9 +1,11 @@
-// Deployment-bundle codec acceptance (ISSUE 10): the d3c bundle container and
-// the weight-shard codec inside it are exactly as strict as plan_io —
-// truncation at every byte boundary, bad magic/version, trailing bytes, and
-// content-hash corruption all throw instead of yielding a partially-populated
-// bundle; round-trips are lossless; and the plan-driven shard mask puts
-// parameters on exactly the layers a node executes.
+// Deployment-bundle codec acceptance: the bundle container and the
+// weight-shard codec inside it are exactly as strict as plan_io — truncation
+// at every byte boundary, bad magic/version, trailing bytes, and content-hash
+// corruption all throw instead of yielding a partially-populated bundle;
+// round-trips are bit-exact; compile_bundle carries the caller's plan bytes
+// verbatim; and the plan-driven shard mask puts parameters on exactly the
+// layers a node executes.
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <span>
@@ -33,15 +35,8 @@ SerializablePlan sample_plan(const dnn::Network& net) {
 
 DeploymentBundle sample_bundle(const dnn::Network& net, const exec::WeightStore& weights,
                                const std::string& node) {
-  const SerializablePlan plan = sample_plan(net);
-  DeploymentBundle bundle;
-  bundle.node_name = node;
-  bundle.model_name = net.name();
-  bundle.vsm_workers = 0;
-  bundle.weights_hash = rpc::fnv1a(rpc::encode_weights(weights, net));
-  bundle.plan_bytes = serialize_plan_binary(plan);
-  bundle.shard_bytes = rpc::encode_weight_shard(
-      weights, net, exec::WeightStore::layers_for_node(plan, node));
+  DeploymentBundle bundle = compile_bundle(net, weights, serialize_plan_binary(sample_plan(net)),
+                                           node, 0, rpc::weights_hash(weights, net));
   bundle.book_text =
       "[coordinator]\nactive 127.0.0.1:9000\n[workers]\n"
       "device0 127.0.0.1:9001\nedge0 127.0.0.1:9002\ncloud0 127.0.0.1:9003\n";
@@ -78,13 +73,48 @@ TEST(BundleIo, FileRoundTripAndAtomicOverwrite) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "edge0.d3b").string();
   std::filesystem::remove(path);
-  write_bundle_file(path, sample_bundle(net, weights, "edge0"));
+  // The returned count is the file's size: the encoding it wrote, once.
+  const DeploymentBundle edge = sample_bundle(net, weights, "edge0");
+  const std::size_t written = write_bundle_file(path, edge);
+  EXPECT_EQ(written, encode_bundle(edge).size());
+  EXPECT_EQ(std::filesystem::file_size(path), written);
   EXPECT_EQ(load_bundle_file(path).node_name, "edge0");
   // A recompile overwrites in place (tmp + rename): the new content wins and
   // no ".tmp" residue is left behind.
   write_bundle_file(path, sample_bundle(net, weights, "cloud0"));
   EXPECT_EQ(load_bundle_file(path).node_name, "cloud0");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(BundleIo, CompileCarriesPlanBytesVerbatimAndExactlyTheNodeShard) {
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 7);
+  const SerializablePlan plan = sample_plan(net);
+  const std::vector<std::uint8_t> plan_bytes = serialize_plan_binary(plan);
+  // The weights identity is the all-layers shard encoding's FNV-1a, and it
+  // tells two stores apart.
+  const std::uint64_t hash = rpc::weights_hash(weights, net);
+  EXPECT_EQ(hash, rpc::fnv1a(rpc::encode_weight_shard(
+                      weights, net, std::vector<bool>(net.num_layers(), true))));
+  EXPECT_NE(hash, rpc::weights_hash(exec::WeightStore::random_for(net, 8), net));
+  for (const char* node : {"device0", "edge0", "cloud0"}) {
+    const DeploymentBundle bundle = compile_bundle(net, weights, plan_bytes, node, 3, hash);
+    EXPECT_EQ(bundle.node_name, node);
+    EXPECT_EQ(bundle.model_name, net.name());
+    EXPECT_EQ(bundle.vsm_workers, 3u);
+    EXPECT_EQ(bundle.weights_hash, hash);
+    EXPECT_EQ(bundle.plan_bytes, plan_bytes);
+    EXPECT_EQ(bundle.shard_bytes,
+              rpc::encode_weight_shard(weights, net,
+                                       exec::WeightStore::layers_for_node(plan, node)));
+    EXPECT_TRUE(bundle.book_text.empty());
+    // Elided: the same identity, no shard at all.
+    const DeploymentBundle elided =
+        compile_bundle(net, weights, plan_bytes, node, 3, hash, /*elided=*/true);
+    EXPECT_EQ(elided.plan_bytes, plan_bytes);
+    EXPECT_EQ(elided.weights_hash, hash);
+    EXPECT_TRUE(elided.shard_bytes.empty());
+  }
 }
 
 TEST(BundleIo, TruncationAlwaysThrows) {
@@ -149,26 +179,58 @@ TEST(BundleIo, EmptyAndMissingFilesFailLoudly) {
 
 // --- the weight-shard codec inside the bundle --------------------------------
 
+std::vector<std::uint32_t> bit_patterns(const std::vector<float>& values) {
+  std::vector<std::uint32_t> bits;
+  for (const float v : values) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+// Round-trips `weights` through a shard keeping `keep`: kept layers come back
+// with bit-identical parameters, the rest empty. Counts the kept layers that
+// ship empty weight and bias arrays into `weightless`.
+void expect_shard_round_trip(const dnn::Network& net, const exec::WeightStore& weights,
+                             const std::vector<bool>& keep, const std::string& what,
+                             std::size_t& weightless) {
+  const rpc::WeightShard shard =
+      rpc::decode_weight_shard(rpc::encode_weight_shard(weights, net, keep), net);
+  ASSERT_EQ(shard.present.size(), net.num_layers());
+  ASSERT_EQ(shard.weights.size(), weights.size());
+  for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
+    EXPECT_EQ(shard.present[id], keep[id]) << what << " layer " << id;
+    const exec::LayerWeights& a = weights.layer(id);
+    const exec::LayerWeights& b = shard.weights.layer(id);
+    if (keep[id]) {
+      if (a.weights.empty() && a.bias.empty()) ++weightless;
+      EXPECT_EQ(bit_patterns(b.weights), bit_patterns(a.weights)) << what << " layer " << id;
+      EXPECT_EQ(bit_patterns(b.bias), bit_patterns(a.bias)) << what << " layer " << id;
+      EXPECT_EQ(bit_patterns(b.bn_scale), bit_patterns(a.bn_scale)) << what << " layer " << id;
+      EXPECT_EQ(bit_patterns(b.bn_shift), bit_patterns(a.bn_shift)) << what << " layer " << id;
+    } else {
+      EXPECT_TRUE(b.weights.empty() && b.bias.empty() && b.bn_scale.empty() &&
+                  b.bn_shift.empty())
+          << what << " layer " << id;
+    }
+  }
+}
+
 TEST(WeightShard, RoundTripCarriesExactlyTheKeptLayers) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 9);
   const SerializablePlan plan = sample_plan(net);
-  for (const char* node : {"device0", "edge0", "cloud0"}) {
-    const std::vector<bool> keep = exec::WeightStore::layers_for_node(plan, node);
-    const rpc::WeightShard shard =
-        rpc::decode_weight_shard(rpc::encode_weight_shard(weights, net, keep), net);
-    ASSERT_EQ(shard.present.size(), net.num_layers());
-    for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
-      EXPECT_EQ(shard.present[id], keep[id]) << node << " layer " << id;
-      if (keep[id]) {
-        EXPECT_EQ(shard.weights.layer(id).weights, weights.layer(id).weights);
-        EXPECT_EQ(shard.weights.layer(id).bias, weights.layer(id).bias);
-      } else {
-        EXPECT_TRUE(shard.weights.layer(id).weights.empty());
-        EXPECT_TRUE(shard.weights.layer(id).bias.empty());
-      }
-    }
-  }
+  std::size_t chain_weightless = 0;
+  for (const char* node : {"device0", "edge0", "cloud0"})
+    expect_shard_round_trip(net, weights, exec::WeightStore::layers_for_node(plan, node), node,
+                            chain_weightless);
+  EXPECT_GT(chain_weightless, 0u);
+  // Every layer kept (what rpc::weights_hash encodes), on a branching model:
+  // the parameterless layers ship empty arrays, whose null data() the raw
+  // float copy must never touch (the UBSan job's guard).
+  const dnn::Network branch = dnn::zoo::tiny_branch();
+  std::size_t branch_weightless = 0;
+  expect_shard_round_trip(branch, exec::WeightStore::random_for(branch, 99),
+                          std::vector<bool>(branch.num_layers(), true), "all",
+                          branch_weightless);
+  EXPECT_GT(branch_weightless, 0u);  // the empty-array path ran
 }
 
 TEST(WeightShard, TierMasksPartitionTheModel) {
@@ -200,21 +262,6 @@ TEST(WeightShard, VsmFanOutWorkersGetTheStackLayers) {
   for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
     const bool in_stack = id == 3 || id == 4 || id == 5;
     EXPECT_EQ(keep[id], in_stack) << id;
-  }
-}
-
-TEST(WeightShard, ShardForPlanElidesForeignTiers) {
-  const dnn::Network net = dnn::zoo::tiny_chain();
-  const exec::WeightStore weights = exec::WeightStore::random_for(net, 9);
-  const SerializablePlan plan = sample_plan(net);
-  const exec::WeightStore shard = weights.shard_for_plan(plan, "device0");
-  const std::vector<bool> keep = exec::WeightStore::layers_for_node(plan, "device0");
-  ASSERT_EQ(shard.size(), weights.size());
-  for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
-    if (keep[id])
-      EXPECT_EQ(shard.layer(id).weights, weights.layer(id).weights);
-    else
-      EXPECT_TRUE(shard.layer(id).weights.empty());
   }
 }
 

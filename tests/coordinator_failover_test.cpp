@@ -442,6 +442,51 @@ TEST(CoordinatorFailover, SplitBrainDeposedCoordinatorIsFencedOutOfEveryVerb) {
   EXPECT_TRUE(RequestJournal::load(journal_path).empty());
 }
 
+TEST(CoordinatorFailover, FencedConfigReplayIsNotRetried) {
+  // edge0 dies and a successor configures its replacement at epoch 2 before
+  // the deposed coordinator's reconnect hook dials it. The replayed kConfig
+  // is answered kFenced, which no retry can cure: the run throws rpc::Fenced
+  // after one dial instead of spending the whole backoff budget.
+  const dnn::Network net = dnn::zoo::tiny_chain();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 181);
+  util::Rng rng(182);
+  const dnn::Tensor frame = exec::random_tensor(net.input_shape(), rng);
+  const core::Assignment assignment = three_tier_plan(net);
+  const std::vector<std::uint8_t> plan_bytes =
+      core::serialize_plan_binary(core::SerializablePlan{net.name(), assignment, std::nullopt});
+
+  const rpc::ListenWorkerProcess device(D3_NODE_BINARY);
+  const rpc::ListenWorkerProcess edge(D3_NODE_BINARY);
+  const rpc::ListenWorkerProcess cloud(D3_NODE_BINARY);
+  auto deposed = std::make_shared<rpc::SocketTransport>();
+  deposed->set_epoch(1);
+  deposed->add_node("device0", device.dial());
+  deposed->add_node("edge0", edge.dial());
+  deposed->add_node("cloud0", cloud.dial());
+  deposed->configure(net.name(), net, weights, plan_bytes, 0);
+
+  ::kill(edge.pid(), SIGKILL);
+  const rpc::ListenWorkerProcess replacement(D3_NODE_BINARY);
+  rpc::SocketTransport successor;
+  successor.set_epoch(2);
+  successor.add_node("edge0", replacement.dial());
+  successor.configure(net.name(), net, weights, plan_bytes, 0);
+
+  int dials = 0;
+  deposed->set_reconnect(
+      "edge0",
+      [&] {
+        ++dials;
+        return replacement.dial();
+      },
+      rpc::SocketTransport::RetryPolicy{3, std::chrono::milliseconds(5), 2.0});
+  OnlineEngine::Options options;
+  options.transport = deposed;
+  const OnlineEngine engine(net, weights, assignment, std::nullopt, options);
+  EXPECT_THROW(engine.infer(frame), rpc::Fenced);
+  EXPECT_EQ(dials, 1);
+}
+
 // --- Channel error context (ISSUE 7 satellite) -------------------------------
 
 TEST(CoordinatorFailover, ChannelErrorsNameNodePeerAddressAndCause) {

@@ -1,6 +1,6 @@
 // The binary wire format: randomized tensor round-trips (including NaN
 // payloads, infinities and denormals, compared bit-for-bit), envelope framing,
-// weight shipping, and the strict error paths — truncation at every prefix
+// and the strict error paths — truncation at every prefix
 // length, bad magic, bad version, corrupt shapes and trailing bytes. Frame
 // reads over a socketpair pin that a header's declared body length never
 // buys more memory than the bytes that actually arrive.
@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dnn/model_zoo.h"
 #include "rpc/socket.h"
 #include "rpc/wire.h"
 #include "util/rng.h"
@@ -196,27 +195,6 @@ TEST(RpcWire, EnvelopeRejectsBadMagicTierAndNegativeBytes) {
   }
 }
 
-TEST(RpcWire, WeightsRoundTripBitwise) {
-  const dnn::Network net = dnn::zoo::tiny_branch();
-  const exec::WeightStore weights = exec::WeightStore::random_for(net, 99);
-  const exec::WeightStore back = decode_weights(encode_weights(weights, net), net);
-  ASSERT_EQ(back.size(), weights.size());
-  std::size_t weightless = 0;  // layers that ship empty weight/bias arrays
-  for (dnn::LayerId id = 0; id < net.num_layers(); ++id) {
-    const exec::LayerWeights& a = weights.layer(id);
-    const exec::LayerWeights& b = back.layer(id);
-    if (a.weights.empty() && a.bias.empty()) ++weightless;
-    ASSERT_EQ(a.weights.size(), b.weights.size());
-    for (std::size_t i = 0; i < a.weights.size(); ++i)
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(a.weights[i]),
-                std::bit_cast<std::uint32_t>(b.weights[i]));
-    EXPECT_EQ(a.bias, b.bias);
-    EXPECT_EQ(a.bn_scale, b.bn_scale);
-    EXPECT_EQ(a.bn_shift, b.bn_shift);
-  }
-  EXPECT_GT(weightless, 0u);  // the empty-array path ran
-}
-
 // Empty float arrays carry a null data() pointer on both sides of the codec;
 // the raw copy must not touch it (memcpy with a null pointer is undefined even
 // for zero bytes — the UBSan CI job turns a regression into a failure).
@@ -232,18 +210,6 @@ TEST(RpcWire, EmptyFloatArraysRoundTrip) {
   r.f32_raw(nullptr, 0);
   EXPECT_EQ(r.f32_array(), std::vector<float>{1.5f});
   r.expect_end("empty arrays");
-}
-
-TEST(RpcWire, WeightsRejectWrongNetworkAndTruncation) {
-  const dnn::Network chain = dnn::zoo::tiny_chain();
-  const dnn::Network branch = dnn::zoo::tiny_branch();
-  const exec::WeightStore weights = exec::WeightStore::random_for(chain, 5);
-  const std::vector<std::uint8_t> bytes = encode_weights(weights, chain);
-  // Decoding against a different model: layer count/sizes mismatch.
-  EXPECT_THROW(decode_weights(bytes, branch), WireError);
-  // Truncation at a few prefix lengths (full sweep would be slow here).
-  for (const std::size_t len : {std::size_t{0}, std::size_t{5}, bytes.size() / 2, bytes.size() - 1})
-    EXPECT_THROW(decode_weights(std::span(bytes).first(len), chain), WireError) << len;
 }
 
 // A frame whose header claims `claimed` body bytes but carries `body` bytes.

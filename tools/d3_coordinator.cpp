@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       mirror = true;
     } else if (flag == "--elide-weights") {
       // Workers booted from d3c bundles already hold their weight shard:
-      // kConfig ships plan + weights hash only (O(1) instead of O(model)).
+      // kConfig ships each bundle without it (O(1) instead of O(tier)).
       // Version skew fails loudly as rpc::BundleMismatch before any state
       // mutation — recompile the bundles with d3c, or drop this flag.
       elide_weights = true;

@@ -7,8 +7,8 @@
 //
 // spawned by the coordinator (rpc::WorkerProcess), dials back over TCP and
 // serves the node protocol (rpc/node_service.h) until the coordinator hangs
-// up: receive the model name + weights + plan, hold per-request tensor slots,
-// run layers and VSM stacks on demand.
+// up: receive its deployment bundle (model name + plan + its weight shard),
+// hold per-request tensor slots, run layers and VSM stacks on demand.
 //
 //   d3_node --listen <port> [--crash-after <frames>]
 //
@@ -34,13 +34,13 @@
 //
 // the AOT boot form: mmap-loads the d3c deployment bundle at <file> — plan,
 // this node's weight shard, and the embedded address book — verifies its
-// checksum, comes up already configured, and listens at <name>'s entry in the
-// bundle's [workers] section. No coordinator round-trip ships the model: a
-// coordinator started with --elide-weights sends plan + weights hash only
-// (O(1) instead of O(model)), and a hash disagreement is answered
-// kBundleMismatch before any state mutation. `--bundle <file> <name>` also
-// composes with --listen/--connect/--book as a trailing flag (the spawn-time
-// port still wins; the bundle supplies the configuration).
+// checksum, installs it exactly as it would a kConfig's, and listens at
+// <name>'s entry in the bundle's [workers] section. No coordinator round-trip
+// ships the weights: a coordinator started with --elide-weights sends the
+// bundle without its shard (O(1) instead of O(tier)), and a hash disagreement
+// is answered kBundleMismatch before any state mutation. `--bundle <file>
+// <name>` also composes with --listen/--connect/--book as a trailing flag (the
+// spawn-time port still wins; the bundle supplies the configuration).
 //
 // --crash-after N makes the process exit abruptly (no reply) on the (N+1)th
 // coordinator frame — a deterministic, scriptable stand-in for a SIGKILL at an

@@ -8,16 +8,17 @@
 // Runs the offline partition framework (HPA + VSM, core/d3.h) for the chosen
 // testbed and network condition — or takes a ready text plan via --plan — and
 // emits ONE versioned, checksummed binary bundle per [workers] entry of the
-// address book: the serialized plan, the weight shard covering exactly the
-// layers that node executes (parameterless elsewhere), and the address book
-// itself. `d3_node --bundle <dir>/<name>.d3b <name>` then boots fully
-// configured with no coordinator round-trip; a coordinator started with
-// --elide-weights ships plan + weights hash only (O(1) instead of O(model))
-// and any version skew is answered kBundleMismatch before state mutation.
+// address book (core::compile_bundle — the same bundle a coordinator's kConfig
+// carries): the serialized plan, the weight shard covering exactly the layers
+// that node executes (parameterless elsewhere), and the address book itself.
+// `d3_node --bundle <dir>/<name>.d3b <name>` then boots fully configured with
+// no coordinator round-trip; a coordinator started with --elide-weights ships
+// each bundle without its shard (O(1) instead of O(tier)) and any version skew
+// is answered kBundleMismatch before state mutation.
 //
 // The weights are WeightStore::random_for(net, seed) — the same deterministic
-// store d3_coordinator builds from the same --seed, so the full-model weights
-// hash embedded in every bundle matches the hash an eliding coordinator sends.
+// store d3_coordinator builds from the same --seed, so the rpc::weights_hash
+// embedded in every bundle matches the hash the coordinator sends.
 // --emit-plan writes the plan as the text form of core/plan_io.h so the
 // coordinator can be pointed at the exact plan the bundles were compiled for.
 //
@@ -128,12 +129,11 @@ int main(int argc, char** argv) {
       out << d3::core::serialize_plan(plan);
     }
 
-    // The full-model weights hash is the O(1) identity every bundle shares
-    // with the eliding coordinator; each bundle's shard carries only the
-    // layers its node executes.
+    // The weights hash is the O(1) identity every bundle shares with the
+    // coordinator; each bundle's shard carries only the layers its node
+    // executes.
     const d3::exec::WeightStore weights = d3::exec::WeightStore::random_for(net, seed);
-    const std::uint64_t weights_hash =
-        d3::rpc::fnv1a(d3::rpc::encode_weights(weights, net));
+    const std::uint64_t weights_hash = d3::rpc::weights_hash(weights, net);
 
     std::uint32_t vsm_workers = 0;
     for (const d3::runtime::Endpoint& worker : book.workers())
@@ -142,20 +142,12 @@ int main(int argc, char** argv) {
 
     const std::string out_dir = flags["--out"];
     for (const d3::runtime::Endpoint& worker : book.workers()) {
-      d3::core::DeploymentBundle bundle;
-      bundle.node_name = worker.name;
-      bundle.model_name = net.name();
-      bundle.vsm_workers = vsm_workers;
-      bundle.weights_hash = weights_hash;
-      bundle.plan_bytes = plan_bytes;
-      bundle.shard_bytes = d3::rpc::encode_weight_shard(
-          weights, net, d3::exec::WeightStore::layers_for_node(plan, worker.name));
+      d3::core::DeploymentBundle bundle = d3::core::compile_bundle(
+          net, weights, plan_bytes, worker.name, vsm_workers, weights_hash);
       bundle.book_text = book_text;
       const std::string path = out_dir + "/" + worker.name + ".d3b";
-      d3::core::write_bundle_file(path, bundle);
-      const std::vector<std::uint8_t> bytes = d3::core::encode_bundle(bundle);
       std::printf("BUNDLE %s %s %zu\n", worker.name.c_str(), path.c_str(),
-                  bytes.size());
+                  d3::core::write_bundle_file(path, bundle));
     }
     std::printf("WEIGHTS %016llx\n", static_cast<unsigned long long>(weights_hash));
     std::fflush(stdout);
