@@ -100,7 +100,7 @@ class NodeService {
   // sender's epoch as its first field (a lower-than-max epoch is fenced, a
   // higher one deposes every other connection), and every other verb is
   // checked against the connection's last-configured epoch.
-  Frame handle(const Frame& request, int fd) {
+  Frame handle(Frame& request, int fd) {
     CoordinatorConn& conn = coordinators_.at(fd);
     WireReader r(request.body);
     if (request.kind == MsgKind::kConfig) {
@@ -108,7 +108,7 @@ class NodeService {
       if (epoch < max_epoch_) return fenced_reply();
       conn.epoch = epoch;
       max_epoch_ = std::max(max_epoch_, epoch);
-      return config(r);
+      return config(r, request.body);
     }
     if (conn.epoch < max_epoch_) return fenced_reply();
     switch (request.kind) {
@@ -277,12 +277,15 @@ class NodeService {
 
   static Frame ok() { return Frame{MsgKind::kOk, {}}; }
 
-  // kConfig: the body after the epoch is one deployment bundle, whose decode
-  // checks the content hash before it trusts any field. An empty shard means
-  // the coordinator elided the weights (a real shard is never empty: it
-  // carries its magic and a presence flag per layer).
-  Frame config(WireReader& r) {
+  // kConfig: the rest of `body` (which `r` reads) is one deployment bundle,
+  // whose decode checks the content hash before it trusts any field. The body
+  // is freed once decoded, so at most two copies of the shard (the bundle's,
+  // then the WeightStore) are ever live. An empty shard means the coordinator
+  // elided the weights (a real shard is never empty: it carries its magic and
+  // a presence flag per layer).
+  Frame config(WireReader& r, std::vector<std::uint8_t>& body) {
     const core::DeploymentBundle bundle = core::decode_bundle(r.rest());
+    std::vector<std::uint8_t>().swap(body);
     const bool elided = bundle.shard_bytes.empty();
     // Idempotent on content identity — (node, model, plan hash, weights hash,
     // pool width) — NOT on raw body bytes: a standby coordinator taking over
@@ -702,8 +705,9 @@ std::optional<Hangup> serve_coordinator_frame(NodeService& service, int fd,
     // happens before the reply, so a coordinator pipelining several
     // outstanding frames sees the replies spaced by the service time —
     // exactly what the overlap bench must hide behind other channels.
-    if (options.service_seconds > 0 && (request.kind == MsgKind::kRunLayer ||
-                                        request.kind == MsgKind::kRunStack))
+    if (options.service_seconds > 0 &&
+        (request.kind == MsgKind::kRunLayer || request.kind == MsgKind::kRunStack ||
+         request.kind == MsgKind::kRunTile))
       std::this_thread::sleep_for(std::chrono::duration<double>(options.service_seconds));
     Frame reply;
     try {

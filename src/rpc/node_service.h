@@ -41,7 +41,7 @@ struct ServeOptions {
   // protocol point. kNeverCrash disables. d3_node exposes it as --crash-after.
   std::uint64_t crash_after_frames = kNeverCrash;
   // Emulated per-request service latency (seconds) added to each kRunLayer /
-  // kRunStack — stands in for a slower remote machine's compute so overlap
+  // kRunStack / kRunTile — stands in for a slower remote machine's compute so overlap
   // benches measure wire-wait hiding on hosts where the real kernels are too
   // fast to matter. Cheap verbs (kPut/kGet/...) stay fast, mirroring how real
   // service time concentrates in the compute calls. d3_node: --service-ms.

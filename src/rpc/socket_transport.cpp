@@ -826,32 +826,43 @@ Transport::OpHandle SocketTransport::issue_fetch(std::uint64_t request,
 
 void SocketTransport::put_tile(std::uint64_t request, const runtime::MessageRecord& meta,
                                std::size_t tile, const dnn::Tensor& input) {
-  Node& worker = tile_worker(tile);
+  await(issue_put_tile(request, meta, tile, input));
+}
+
+void SocketTransport::run_tile(std::uint64_t request, std::size_t tile) {
+  await(issue_run_tile(request, tile));
+}
+
+dnn::Tensor SocketTransport::fetch_tile(std::uint64_t request, std::size_t tile) {
+  return std::move(*await(issue_fetch_tile(request, tile)).tensor());
+}
+
+Transport::OpHandle SocketTransport::issue_put_tile(std::uint64_t request,
+                                                    const runtime::MessageRecord& meta,
+                                                    std::size_t tile, const dnn::Tensor& input) {
   WireWriter w;
   w.u64(request);
   w.u64(tile);
   const Envelope env{meta, encode_tensor(input)};
   payload_bytes_sent_.fetch_add(env.payload.size(), std::memory_order_relaxed);
   encode_envelope(w, env);
-  call(worker, MsgKind::kPutTile, w.buffer());
+  return issue_call(tile_worker(tile), MsgKind::kPutTile, w.buffer(), MsgKind::kOk,
+                    /*is_fetch=*/false, env.payload.size());
 }
 
-void SocketTransport::run_tile(std::uint64_t request, std::size_t tile) {
-  Node& worker = tile_worker(tile);
+Transport::OpHandle SocketTransport::issue_run_tile(std::uint64_t request, std::size_t tile) {
   WireWriter w;
   w.u64(request);
   w.u64(tile);
-  call(worker, MsgKind::kRunTile, w.buffer());
+  return issue_call(tile_worker(tile), MsgKind::kRunTile, w.buffer());
 }
 
-dnn::Tensor SocketTransport::fetch_tile(std::uint64_t request, std::size_t tile) {
-  Node& worker = tile_worker(tile);
+Transport::OpHandle SocketTransport::issue_fetch_tile(std::uint64_t request, std::size_t tile) {
   WireWriter w;
   w.u64(request);
   w.u64(tile);
-  const Frame reply = call(worker, MsgKind::kGetTile, w.buffer(), MsgKind::kTensor);
-  payload_bytes_fetched_.fetch_add(reply.body.size(), std::memory_order_relaxed);
-  return decode_tensor(std::span<const std::uint8_t>(reply.body));
+  return issue_call(tile_worker(tile), MsgKind::kGetTile, w.buffer(), MsgKind::kTensor,
+                    /*is_fetch=*/true);
 }
 
 void SocketTransport::enable_heartbeats(HeartbeatPolicy policy) {

@@ -11,8 +11,8 @@
 //     coordinator never touches the bytes (Stats::relay_bytes drops to zero).
 //   * Edge fan-out (add_tile_worker): the VSM tile plan is sharded across N
 //     real "edge1".."edgeN" worker processes (tile -> worker = tile mod N);
-//     the engine scatters tile crops, runs tiles concurrently across workers,
-//     and gathers outputs in tile order, so results stay bitwise-identical.
+//     the engine issues every tile's crop, run and fetch as pipelined ops and
+//     assembles the outputs in tile order, so results stay bitwise-identical.
 //
 // Nodes that are not attached (mixed deployments) fall back to in-process
 // hosting automatically. Worker death mid-request surfaces as ChannelDied,
@@ -219,8 +219,8 @@ class SocketTransport final : public Transport {
   // with a resumed one.
   void open_request_as(std::uint64_t request) override;
   void close_request(std::uint64_t request) noexcept override;
-  // open_request, seed, send, run_layer, run_stack and fetch are their issue_*
-  // twins below, awaited: one frame encoding per verb.
+  // open_request, seed, send, run_layer, run_stack, fetch and the three tile
+  // verbs are their issue_* twins below, awaited: one frame encoding per verb.
   void seed(std::uint64_t request, const std::string& node, std::uint64_t slot,
             const dnn::Tensor& tensor) override;
   std::optional<dnn::Tensor> send(std::uint64_t request, const runtime::MessageRecord& meta,
@@ -245,6 +245,10 @@ class SocketTransport final : public Transport {
   OpHandle issue_run_stack(std::uint64_t request, const std::string& node) override;
   OpHandle issue_fetch(std::uint64_t request, const std::string& node,
                        std::uint64_t slot) override;
+  OpHandle issue_put_tile(std::uint64_t request, const runtime::MessageRecord& meta,
+                          std::size_t tile, const dnn::Tensor& input) override;
+  OpHandle issue_run_tile(std::uint64_t request, std::size_t tile) override;
+  OpHandle issue_fetch_tile(std::uint64_t request, std::size_t tile) override;
   // Async admission: one pipelined kBegin per attached node; handles appended
   // to `ops`. Issue-time failure closes the request on every node and throws.
   std::uint64_t issue_open_request(std::vector<OpHandle>& ops) override;

@@ -1,5 +1,7 @@
 #include "rpc/transport.h"
 
+#include <cstring>
+
 #include "rpc/wire.h"
 
 namespace d3::rpc {
@@ -43,9 +45,8 @@ Transport::OpHandle Transport::issue_seed(std::uint64_t request, const std::stri
 Transport::OpHandle Transport::issue_send(std::uint64_t request,
                                           const runtime::MessageRecord& meta,
                                           std::uint64_t slot, const dnn::Tensor& tensor) {
-  OpHandle handle = ready_op();
-  handle.tensor() = send(request, meta, slot, tensor);
-  return handle;
+  send(request, meta, slot, tensor);
+  return ready_op();
 }
 
 Transport::OpHandle Transport::issue_run_layer(std::uint64_t request, const std::string& node,
@@ -62,6 +63,24 @@ Transport::OpHandle Transport::issue_fetch(std::uint64_t request, const std::str
                                            std::uint64_t slot) {
   OpHandle handle = ready_op();
   handle.tensor() = fetch(request, node, slot);
+  return handle;
+}
+
+Transport::OpHandle Transport::issue_put_tile(std::uint64_t request,
+                                              const runtime::MessageRecord& meta,
+                                              std::size_t tile, const dnn::Tensor& input) {
+  put_tile(request, meta, tile, input);
+  return ready_op();
+}
+
+Transport::OpHandle Transport::issue_run_tile(std::uint64_t request, std::size_t tile) {
+  run_tile(request, tile);
+  return ready_op();
+}
+
+Transport::OpHandle Transport::issue_fetch_tile(std::uint64_t request, std::size_t tile) {
+  OpHandle handle = ready_op();
+  handle.tensor() = fetch_tile(request, tile);
   return handle;
 }
 
@@ -116,16 +135,22 @@ std::optional<dnn::Tensor> SerializingLoopback::send(std::uint64_t,
                                                      const runtime::MessageRecord& meta,
                                                      std::uint64_t, const dnn::Tensor& tensor) {
   // The full wire path: tensor -> envelope -> framed bytes -> envelope ->
-  // tensor. The decoded copy is what the destination node computes on.
+  // tensor, checked bitwise in place: a flipped bit shows even where a later
+  // layer would have masked it.
   Envelope env{meta, encode_tensor(tensor)};
   const std::vector<std::uint8_t> wire = encode_envelope(env);
-  Envelope back = decode_envelope(wire);
+  const Envelope back = decode_envelope(wire);
   if (back.meta.seq != meta.seq || back.meta.bytes != meta.bytes)
     throw TransportError("loopback: envelope metadata did not survive the wire");
+  const dnn::Tensor decoded = decode_tensor(back.payload);
+  if (!(decoded.shape() == tensor.shape()) ||
+      (tensor.size() > 0 &&
+       std::memcmp(decoded.data(), tensor.data(), tensor.size() * sizeof(float)) != 0))
+    throw TransportError("loopback: tensor '" + meta.payload + "' did not survive the wire");
   messages_.fetch_add(1, std::memory_order_relaxed);
   payload_bytes_.fetch_add(env.payload.size(), std::memory_order_relaxed);
   wire_bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
-  return decode_tensor(back.payload);
+  return std::nullopt;
 }
 
 }  // namespace d3::rpc

@@ -156,11 +156,10 @@ class Transport {
                     const dnn::Tensor& tensor);
 
   // Ships `tensor` from meta.from_node to meta.to_node under `slot` (kNoSlot
-  // for VSM tile traffic). Returns the tensor as materialised at the
-  // destination when the destination shares the coordinator's address space
-  // and consumers should read the wire copy (SerializingLoopback); nullopt
-  // when the engine keeps using its own reference (in-process zero-copy) or
-  // when the destination is a remote process.
+  // for VSM tile traffic). Consumers compute on the coordinator's own tensor,
+  // so every transport returns nullopt (SerializingLoopback checks its round
+  // trip in place); the optional return stays only because bench/e2e's
+  // TimedTransport overrides this signature.
   virtual std::optional<dnn::Tensor> send(std::uint64_t request,
                                           const runtime::MessageRecord& meta,
                                           std::uint64_t slot, const dnn::Tensor& tensor) = 0;
@@ -236,7 +235,7 @@ class Transport {
 
     // Valid once completed:
     std::exception_ptr error;            // null = success
-    std::optional<dnn::Tensor> tensor;   // issue_fetch result / issue_send wire copy
+    std::optional<dnn::Tensor> tensor;   // issue_fetch / issue_fetch_tile result
     std::uint64_t bytes = 0;             // payload bytes the op moved
   };
 
@@ -271,6 +270,10 @@ class Transport {
   virtual OpHandle issue_run_stack(std::uint64_t request, const std::string& node);
   virtual OpHandle issue_fetch(std::uint64_t request, const std::string& node,
                                std::uint64_t slot);
+  virtual OpHandle issue_put_tile(std::uint64_t request, const runtime::MessageRecord& meta,
+                                  std::size_t tile, const dnn::Tensor& input);
+  virtual OpHandle issue_run_tile(std::uint64_t request, std::size_t tile);
+  virtual OpHandle issue_fetch_tile(std::uint64_t request, std::size_t tile);
 
   // Async admission: allocates a request id and *issues* the per-node kBegin
   // round-trips, appending one handle per remote node to `ops`. The request id
@@ -342,13 +345,13 @@ class Transport {
   // --- Edge fan-out (multi-worker VSM tile sharding) ------------------------
   //
   // True when the VSM edge tier is served by remote tile-worker processes
-  // ("edge1".."edgeN"): the engine then ships each tile's input crop with
-  // put_tile, dispatches run_tile per tile (tiles of distinct workers may run
-  // concurrently), and collects outputs with fetch_tile — instead of computing
-  // tiles locally or delegating the whole stack to run_stack. The transport
-  // owns the tile -> physical-worker shard map (tile % tile_worker_count);
-  // the transcript keeps naming the *virtual* per-tile nodes, so it stays a
-  // pure function of the plan. Base implementations: no workers / throw.
+  // ("edge1".."edgeN"): the engine's tier walk then issues each tile's crop,
+  // run and fetch (issue_put_tile/issue_run_tile/issue_fetch_tile) on the
+  // serving worker's channel, instead of computing tiles locally or
+  // delegating the whole stack to run_stack. The transport owns the tile ->
+  // physical-worker shard map (tile % tile_worker_count); the transcript
+  // keeps naming the *virtual* per-tile nodes, so it stays a pure function
+  // of the plan. Base implementations: no workers / throw.
   virtual bool has_tile_workers() const { return false; }
   virtual std::size_t tile_worker_count() const { return 0; }
   // Physical worker node serving `tile` under the current shard map; "" when
@@ -386,8 +389,8 @@ class InProcessTransport final : public Transport {
 };
 
 // Every inter-node tensor round-trips encode_envelope -> decode_envelope ->
-// decode_tensor, and consumers compute on the decoded copy: one engine run on
-// this transport proves the whole inference survives the wire format
+// decode_tensor and must come back bit for bit (else TransportError): one
+// engine run on this transport proves the inference survives the wire format
 // losslessly. Thread-safe (stats are atomics); one instance may serve any
 // number of concurrent engine requests.
 class SerializingLoopback final : public Transport {

@@ -118,16 +118,7 @@ OnlineEngine::OnlineEngine(const dnn::Network& net, const exec::WeightStore& wei
   // identity — the weights are — so it is hashed as empty; both coordinator
   // incarnations construct from the same assignment + VSM plan).
   plan_hash_ = plan_hash(core::SerializablePlan{"", assignment_, vsm_});
-  const std::size_t pool_threads =
-      std::max(options_.vsm_workers, options_.intra_op_workers);
-  if (pool_threads > 0) pool_ = std::make_unique<ThreadPool>(pool_threads);
-  if (options_.intra_op_workers > 0)
-    // Capture the pool object, not `this`: the pool's address is stable even
-    // if the engine is ever moved, so the hook cannot dangle.
-    op_parallel_ = [pool = pool_.get()](std::size_t n,
-                                        const std::function<void(std::size_t)>& body) {
-      pool->parallel_for(n, body);
-    };
+  if (options_.vsm_workers > 0) pool_ = std::make_unique<ThreadPool>(options_.vsm_workers);
 }
 
 void OnlineEngine::checkpoint(RequestState& state, int next_stage) const {
@@ -153,21 +144,16 @@ void OnlineEngine::checkpoint(RequestState& state, int next_stage) const {
 }
 
 bool OnlineEngine::try_recover(RequestState& state, const rpc::ChannelDied& died) const {
-  if (!options_.tier_recovery || state.recovery_attempts >= options_.max_recovery_attempts ||
+  if (!options_.tier_recovery || state.recovery_attempts >= kMaxRecoveryAttempts ||
       !recover(state, died))
     return false;
   ++state.recovery_attempts;
   return true;
 }
 
-const dnn::Tensor* OnlineEngine::resolve_input(RequestState& state, dnn::LayerId producer,
-                                               core::Tier at) const {
-  const std::size_t slot = producer == dnn::kNetworkInput ? 0 : producer + 1;
-  if (!state.delivered.empty()) {
-    auto& wired = state.delivered[slot][static_cast<std::size_t>(core::index(at))];
-    if (wired) return &*wired;
-  }
-  return producer == dnn::kNetworkInput ? &state.input : &materialize(state, producer);
+const dnn::Tensor& OnlineEngine::resolve_input(RequestState& state,
+                                               dnn::LayerId producer) const {
+  return producer == dnn::kNetworkInput ? state.input : materialize(state, producer);
 }
 
 rpc::Transport::OpHandle OnlineEngine::fetch_output(RequestState& state,
@@ -193,9 +179,8 @@ rpc::Transport::OpHandle OnlineEngine::fetch_output(RequestState& state,
     // plan.
     std::vector<const dnn::Tensor*> ins;
     ins.reserve(net_.layer(id).inputs.size());
-    for (const dnn::LayerId in : net_.layer(id).inputs)
-      ins.push_back(resolve_input(state, in, at));
-    out = exec::run_layer(net_, weights_, id, ins, op_context());
+    for (const dnn::LayerId in : net_.layer(id).inputs) ins.push_back(&resolve_input(state, in));
+    out = exec::run_layer(net_, weights_, id, ins);
     return {};
   }
   if (!op.settled()) return op;
@@ -214,9 +199,8 @@ const dnn::Tensor& OnlineEngine::materialize(RequestState& state, dnn::LayerId i
   return state.outputs[id];
 }
 
-std::optional<dnn::Tensor> OnlineEngine::record_vsm_message(RequestState& state,
-                                                            std::size_t tile, bool gather,
-                                                            const dnn::Tensor* payload) const {
+MessageRecord OnlineEngine::record_vsm_message(RequestState& state, std::size_t tile,
+                                              bool gather) const {
   const core::FusedTilePlan& plan = *vsm_;
   const std::string tile_name = "tile(" + std::to_string(tile) + ")";
   MessageRecord meta;
@@ -245,80 +229,27 @@ std::optional<dnn::Tensor> OnlineEngine::record_vsm_message(RequestState& state,
     recorded = true;
     (gather ? state.result.vsm_gather_bytes : state.result.vsm_scatter_bytes) += meta.bytes;
     record(state.result, meta);
+    return meta;
   }
-  // Local tile execution round-trips the payload through the transport (tile
-  // traffic is inter-node: coordinator <-> edge worker). A remote edge runs
-  // scatter/gather inside its own process; only the record remains here.
-  if (payload) return transport_->send(state.rpc_request, meta, rpc::kNoSlot, *payload);
-  return std::nullopt;
-}
-
-void OnlineEngine::run_vsm_stack_sharded(RequestState& state,
-                                         const dnn::Tensor& stack_input) const {
-  const core::FusedTilePlan& plan = *vsm_;
-  // Scatter in tile order: the engine is the edge coordinator here — it crops
-  // each tile's input and ships it to the transport's worker shard. The
-  // recorded message still names the virtual per-tile node, so the transcript
-  // is byte-identical to every other execution path.
-  for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
-    const exec::Tile input = core::extract_tile_input(stack_input, plan, t);
-    record_vsm_message(state, t, /*gather=*/false, nullptr);
-    transport_->put_tile(state.rpc_request, state.result.messages.back(), t, input.data);
-  }
-
-  // Tile compute, one lane per physical worker process: lane w drives tiles
-  // t ≡ w (mod W) in increasing order over its own connection, so distinct
-  // workers genuinely overlap while per-worker order stays deterministic.
-  const std::size_t shards = transport_->tile_worker_count();
-  const auto drive = [&](std::size_t w) {
-    for (std::size_t t = w; t < plan.num_tiles(); t += shards)
-      transport_->run_tile(state.rpc_request, t);
-  };
-  if (pool_ && shards > 1) {
-    pool_->parallel_for(shards, drive);
-  } else {
-    for (std::size_t t = 0; t < plan.num_tiles(); ++t)
-      transport_->run_tile(state.rpc_request, t);
-  }
-
-  // Gather + assembly in tile order, as always.
-  dnn::Tensor assembled(plan.output_shape);
-  for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
-    record_vsm_message(state, t, /*gather=*/true, nullptr);
-    const dnn::Tensor tile = transport_->fetch_tile(state.rpc_request, t);
-    const exec::Region& region = plan.tiles[t].output_region;
-    const dnn::Shape expect{plan.output_shape.c, region.height(), region.width()};
-    if (!(tile.shape() == expect))
-      throw std::logic_error("OnlineEngine: tile " + std::to_string(t) + " output shape " +
-                             tile.shape().to_string() + " != plan's " + expect.to_string());
-    exec::copy_region_to_map(tile.data(), region, assembled);
-  }
-  state.outputs[plan.stack.back()] = std::move(assembled);
-  for (const dnn::LayerId id : plan.stack) {
-    state.computed[id] = true;
-    ++state.result.layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
-  }
+  // A re-run gets the first record back: a re-shipped tile keeps its seq.
+  for (const MessageRecord& m : state.result.messages)
+    if (m.payload == meta.payload && m.to_node == meta.to_node) return m;
+  throw std::logic_error("OnlineEngine: " + meta.payload + " missing from the transcript");
 }
 
 void OnlineEngine::run_vsm_stack(RequestState& state) const {
   const core::FusedTilePlan& plan = *vsm_;
-  const dnn::LayerId first = plan.stack.front();
-  const dnn::LayerId in_id = net_.layer(first).inputs[0];
-  const dnn::Tensor& stack_input = *resolve_input(state, in_id, core::Tier::kEdge);
+  const dnn::Tensor& stack_input = resolve_input(state, net_.layer(plan.stack.front()).inputs[0]);
 
-  if (transport_->has_tile_workers()) {
-    run_vsm_stack_sharded(state, stack_input);
-    return;
-  }
-
-  // Scatter: extract every tile's input crop and record the message, in tile
-  // order, before any concurrent work starts. This pins the transcript.
+  // Scatter: extract every tile's input crop and record (and send) the
+  // message, in tile order, before any concurrent work starts. This pins the
+  // transcript.
   std::vector<exec::Tile> tile_inputs;
   tile_inputs.reserve(plan.num_tiles());
   for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
     tile_inputs.push_back(core::extract_tile_input(stack_input, plan, t));
-    if (auto wired = record_vsm_message(state, t, /*gather=*/false, &tile_inputs.back().data))
-      tile_inputs.back().data = std::move(*wired);
+    transport_->send(state.rpc_request, record_vsm_message(state, t, /*gather=*/false),
+                     rpc::kNoSlot, tile_inputs.back().data);
   }
 
   // Parallel tile compute: each edge worker node runs its fused stack slice on
@@ -330,16 +261,13 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
     if (options_.emulated_tile_service_seconds > 0.0)
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options_.emulated_tile_service_seconds));
-    tile_outputs[t] =
-        core::run_single_tile(net_, weights_, tile_inputs[t], *vsm_, t, op_context());
+    tile_outputs[t] = core::run_single_tile(net_, weights_, tile_inputs[t], *vsm_, t);
   };
-  // Tiles go parallel only when vsm_workers asked for it, and at exactly that
-  // width: the pool may be larger (intra_op_workers shares it), but the edge
-  // cluster being emulated has options_.vsm_workers nodes, so only that many
-  // tile service times may overlap. Tiles are pulled from an atomic counter by
+  // The emulated edge cluster has vsm_workers nodes, so only that many tile
+  // service times may overlap. Tiles are pulled from an atomic counter by
   // `width` pool jobs; any schedule is race-free (disjoint slots) and the
   // gather below restores tile order.
-  if (pool_ && options_.vsm_workers > 0 && plan.num_tiles() > 1) {
+  if (pool_ && plan.num_tiles() > 1) {
     const std::size_t width = std::min(options_.vsm_workers, plan.num_tiles());
     std::atomic<std::size_t> next{0};
     pool_->parallel_for(width, [&](std::size_t) {
@@ -354,13 +282,17 @@ void OnlineEngine::run_vsm_stack(RequestState& state) const {
   // feature map are byte-identical to the sequential engine's.
   dnn::Tensor assembled(plan.output_shape);
   for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
-    if (auto wired = record_vsm_message(state, t, /*gather=*/true, &tile_outputs[t].data))
-      tile_outputs[t].data = std::move(*wired);
+    transport_->send(state.rpc_request, record_vsm_message(state, t, /*gather=*/true),
+                     rpc::kNoSlot, tile_outputs[t].data);
     const exec::Region& region = plan.tiles[t].output_region;
     exec::copy_region_to_map(tile_outputs[t].data.data(), region, assembled);
   }
   state.outputs[plan.stack.back()] = std::move(assembled);
-  for (const dnn::LayerId id : plan.stack) {
+  mark_stack_computed(state);
+}
+
+void OnlineEngine::mark_stack_computed(RequestState& state) const {
+  for (const dnn::LayerId id : vsm_->stack) {
     state.computed[id] = true;
     ++state.result.layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
   }
@@ -493,16 +425,12 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
     const auto source_bytes = static_cast<std::uint64_t>(source.shape().bytes());
     in_flight[slot][to_idx] = true;
     queue(transport_->issue_send(state.rpc_request, meta, slot, source),
-          [this, &state, slot, to_idx, source_bytes](rpc::Transport::OpHandle& op) {
+          [this, &state, slot, to_idx, source_bytes](rpc::Transport::OpHandle&) {
             state.shipped[slot][to_idx] = true;
             // Failover accounting: what a restored request re-ships through
             // the coordinator is the cost buddy replication exists to avoid.
             if (state.restored)
               recovery_bytes_.fetch_add(source_bytes, std::memory_order_relaxed);
-            if (op.tensor()) {
-              if (state.delivered.empty()) state.delivered.resize(net_.num_layers() + 1);
-              state.delivered[slot][to_idx] = std::move(*op.tensor());
-            }
           });
     return true;
   };
@@ -529,28 +457,71 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
     if (!ready(id)) continue;                    // deferred to a later stage
 
     if (vsm_ && id == vsm_->stack.front()) {
+      const core::FusedTilePlan& plan = *vsm_;
       // The stack input must be present on the edge coordinator first.
       if (!deliver(net_.layer(id).inputs[0], core::Tier::kEdge)) return false;
       rpc::Transport::OpHandle op =
           transport_->issue_run_stack(state.rpc_request, node_of(core::Tier::kEdge));
-      if (!op.valid()) {
+      if (op.valid()) {
+        queue(std::move(op), nullptr);
+        // Remote edge: scatter, tile compute and gather all happen inside the
+        // edge process. Record the same intra-edge transcript (a pure function
+        // of the tile plan); the stack output stays on the edge node until a
+        // peer push, a relay, or the final result wants it.
+        for (std::size_t t = 0; t < plan.num_tiles(); ++t)
+          record_vsm_message(state, t, /*gather=*/false);
+        for (std::size_t t = 0; t < plan.num_tiles(); ++t)
+          record_vsm_message(state, t, /*gather=*/true);
+        mark_stack_computed(state);
+        continue;
+      }
+      if (!transport_->has_tile_workers()) {
         run_vsm_stack(state);
         continue;
       }
-      queue(std::move(op), nullptr);
-      // Remote edge: scatter, tile compute and gather all happen inside the
-      // edge process. Record the same intra-edge transcript (a pure function
-      // of the tile plan); the stack output stays on the edge node until a
-      // peer push, a relay, or the final result wants it.
-      for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-        record_vsm_message(state, t, /*gather=*/false, nullptr);
-      for (std::size_t t = 0; t < vsm_->num_tiles(); ++t)
-        record_vsm_message(state, t, /*gather=*/true, nullptr);
-      for (const dnn::LayerId sid : vsm_->stack) {
-        state.computed[sid] = true;
-        ++state.result.layers_executed[static_cast<std::size_t>(core::index(core::Tier::kEdge))];
+      // Edge fan-out: the engine is the edge coordinator. Each tile's crop
+      // goes to the worker serving it, then every run, then every fetch,
+      // each group in tile order — a worker serves its channel in order, so
+      // it runs a tile only after that tile's crop has landed. The recorded
+      // messages name the virtual per-tile nodes, so the transcript is
+      // byte-identical to every other execution path.
+      const dnn::Tensor& stack_input = resolve_input(state, net_.layer(id).inputs[0]);
+      for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
+        const exec::Tile crop = core::extract_tile_input(stack_input, plan, t);
+        queue(transport_->issue_put_tile(state.rpc_request,
+                                         record_vsm_message(state, t, /*gather=*/false), t,
+                                         crop.data),
+              nullptr);
       }
-      continue;
+      for (std::size_t t = 0; t < plan.num_tiles(); ++t)
+        queue(transport_->issue_run_tile(state.rpc_request, t), nullptr);
+      // The fetches' effects assemble the output; the one that lands the last
+      // tile marks the stack computed. A tile worker that dies anywhere leaves
+      // the stack uncomputed, and the re-walk issues the whole stack again.
+      struct Gather {
+        dnn::Tensor output;
+        std::size_t tiles = 0;
+      };
+      auto gather = std::make_shared<Gather>(Gather{dnn::Tensor(plan.output_shape), 0});
+      for (std::size_t t = 0; t < plan.num_tiles(); ++t) {
+        record_vsm_message(state, t, /*gather=*/true);
+        queue(transport_->issue_fetch_tile(state.rpc_request, t),
+              [this, &state, gather, t](rpc::Transport::OpHandle& fetched) {
+                const core::FusedTilePlan& plan = *vsm_;
+                const dnn::Tensor& tile = *fetched.tensor();
+                const exec::Region& region = plan.tiles[t].output_region;
+                const dnn::Shape expect{plan.output_shape.c, region.height(), region.width()};
+                if (!(tile.shape() == expect))
+                  throw std::logic_error("OnlineEngine: tile " + std::to_string(t) +
+                                         " output shape " + tile.shape().to_string() +
+                                         " != plan's " + expect.to_string());
+                exec::copy_region_to_map(tile.data(), region, gather->output);
+                if (++gather->tiles < plan.num_tiles()) return;
+                state.outputs[plan.stack.back()] = std::move(gather->output);
+                mark_stack_computed(state);
+              });
+      }
+      return false;  // as on a relay's fetch: the stack's consumers wait for it
     }
 
     for (const dnn::LayerId in : net_.layer(id).inputs)
@@ -569,8 +540,8 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
       std::vector<const dnn::Tensor*> ins;
       ins.reserve(net_.layer(id).inputs.size());
       for (const dnn::LayerId in : net_.layer(id).inputs)
-        ins.push_back(resolve_input(state, in, assigned));
-      state.outputs[id] = exec::run_layer(net_, weights_, id, ins, op_context());
+        ins.push_back(&resolve_input(state, in));
+      state.outputs[id] = exec::run_layer(net_, weights_, id, ins);
     }
     state.computed[id] = true;
     ++state.result.layers_executed[static_cast<std::size_t>(core::index(assigned))];

@@ -28,9 +28,10 @@
 // then send to the consumer). Remote outputs are fetched lazily — only when a
 // relay or the final result actually needs them. When the transport shards
 // the VSM tile plan across real edge worker processes (has_tile_workers), the
-// engine acts as the edge coordinator: it crops tile inputs, scatters them,
-// runs tiles concurrently across the worker shards, and gathers outputs in
-// tile order — same transcript, same bits, as every other path.
+// engine acts as the edge coordinator: its tier walk crops tile inputs and
+// issues every tile's put, run and fetch on the workers' channels, so the
+// workers compute concurrently, and the fetches assemble the output in tile
+// order — same transcript, same bits, as every other path.
 //
 // Failure model. A node that loses its per-request state mid-request (worker
 // death, detected as rpc::ChannelDied) is recovered tier-granularly by
@@ -45,18 +46,19 @@
 //
 // Concurrency model. Inference is staged tier-by-tier (device -> edge ->
 // cloud); Prop.-1 feasibility guarantees a layer's inputs are produced by the
-// same or an earlier stage, so the staging is always dependency-safe. With
-// Options::vsm_workers > 0 the edge stage computes VSM fused tiles on a real
-// runtime::ThreadPool — one job per virtual edge worker node. Transcripts stay
-// deterministic regardless of thread interleaving: tile inputs are extracted
-// and their scatter messages recorded in tile order *before* the parallel
-// region, only the pure per-tile compute runs concurrently, and gather messages
-// plus output assembly happen in tile order *after* the join. The engine itself
-// is immutable after construction (bar the emulated tier-service slots, which
-// a mutex guards), so any number of threads may call infer() concurrently
-// (they share the tile pool); the continuation API (start / step_async /
-// take) is what runtime::ServingReactor uses to pipeline several in-flight
-// requests across the tiers from one thread.
+// same or an earlier stage, so the staging is always dependency-safe. The
+// thread stepping a request drives every remote node, tile workers included.
+// With Options::vsm_workers > 0 the edge stage computes in-process VSM tiles
+// on a runtime::ThreadPool (its only use), one job per virtual edge worker
+// node. Transcripts stay deterministic regardless of thread interleaving: tile
+// inputs are extracted and their scatter messages recorded in tile order
+// *before* the parallel region, only the pure per-tile compute runs
+// concurrently, and gather messages plus output assembly happen in tile order
+// *after* the join. The engine itself is immutable after construction (bar
+// the emulated tier-service slots, which a mutex guards), so any number of
+// threads may call infer() concurrently; the continuation API (start /
+// step_async / take) is what runtime::ServingReactor uses to pipeline several
+// in-flight requests across the tiers from one thread.
 #pragma once
 
 #include <algorithm>
@@ -75,7 +77,6 @@
 #include "core/vsm.h"
 #include "dnn/network.h"
 #include "dnn/tensor.h"
-#include "exec/ops.h"
 #include "exec/weights.h"
 #include "rpc/transport.h"
 #include "runtime/message.h"
@@ -109,15 +110,9 @@ class OnlineEngine {
 
  public:
   struct Options {
-    // Number of pool threads computing VSM tiles concurrently (the edge worker
-    // nodes of Fig. 8). 0 = sequential tile loop on the coordinator thread.
+    // Number of pool threads computing in-process VSM tiles concurrently (the
+    // edge worker nodes of Fig. 8). 0 = sequential tile loop, no pool.
     std::size_t vsm_workers = 0;
-    // Number of pool threads the per-layer kernels may use *within* one layer
-    // (conv GEMM blocks split across the pool), so a single request's latency
-    // scales with cores even without VSM tiling. 0 = serial kernels. Shares
-    // one pool with vsm_workers (sized to the larger of the two); outputs and
-    // transcripts are bitwise-identical either way.
-    std::size_t intra_op_workers = 0;
     // Emulated per-tile edge-node service latency (seconds), added to each
     // tile's compute. The paper's edge pool is separate physical machines; on
     // a host with fewer cores than modelled workers, this stands in for the
@@ -147,11 +142,10 @@ class OnlineEngine {
     // it end-to-end. Dead tile workers with no reconnect hook are pruned and
     // their tiles re-sharded across the survivors. Outputs stay
     // bitwise-identical and transcripts byte-identical either way (messages
-    // are recorded exactly once; re-runs only move payload). false restores
-    // the fail-and-replay contract.
+    // are recorded exactly once; re-runs only move payload). A request
+    // survives kMaxRecoveryAttempts faults before the ChannelDied propagates.
+    // false restores the fail-and-replay contract.
     bool tier_recovery = true;
-    // Faults survived per request before the ChannelDied propagates.
-    std::size_t max_recovery_attempts = 3;
     // Write-ahead request journal for coordinator failover: non-null makes the
     // engine checkpoint every request once its admission (kBegin + input
     // seed) has settled and after each completed tier, and mark it finished
@@ -250,8 +244,8 @@ class OnlineEngine {
     int slept_stage_ = -1;  // emulated tier latency booked once per stage
     std::vector<rpc::Transport::OpHandle> ops_;
     // Parallel to ops_: success-side state mutation for each op (mark
-    // shipped, store a wired copy or a fetched output), applied only after
-    // the op completes.
+    // shipped, store a fetched output, assemble a fetched tile), applied
+    // only after the op completes.
     std::vector<std::function<void(rpc::Transport::OpHandle&)>> effects_;
   };
 
@@ -287,18 +281,19 @@ class OnlineEngine {
   // Non-blocking step for readiness-driven schedulers — the engine's one
   // stage driver (step() is a wait loop around it). It runs the stage's tier
   // walk (walk_tier), which issues the tier's remote verbs — boundary puts,
-  // run-layer/run-stack, a relay's fetch — on their channels (coalesced into
-  // pipelined writes) without waiting, and parks on them:
+  // run-layer/run-stack, the tile workers' put/run/fetch, a relay's fetch —
+  // on their channels (coalesced into pipelined writes) without waiting, and
+  // parks on them:
   //
   //   kAdmitting once start()'s kBegin broadcast and input seed settle,
   //              journal stage 0;
   //   kStart     book the stage's emulated-service timer (once per stage, and
   //              park on it), then walk the tier, issuing its remote verbs;
   //   kSettling  once every issued op's reply lands, apply the success effects
-  //              (shipped flags, wired copies, fetched outputs), recover from
+  //              (shipped flags, fetched outputs and tiles), recover from
   //              any channel death, then either walk again (the timer fired,
-  //              or the pass ended on a relay fetch) or checkpoint and advance
-  //              to the next stage.
+  //              or the pass ended on a relay fetch or a tile gather) or
+  //              checkpoint and advance to the next stage.
   //
   // The collect stage runs the same machine: it re-walks the cloud tier (a
   // no-op unless recovery un-marked layers) and then fetches the final
@@ -318,10 +313,9 @@ class OnlineEngine {
   // Extracts the result of a done() continuation.
   InferenceResult take(Continuation&& c) const;
 
-  // Width of the VSM tile stage: the number of emulated edge worker nodes
-  // tiles may occupy concurrently (0 = sequential tile loop). The shared pool
-  // may be larger when intra_op_workers exceeds this; tile execution is still
-  // capped at this width.
+  // Faults one request survives through tier-granular recovery.
+  static constexpr std::size_t kMaxRecoveryAttempts = 3;
+  // Width of the in-process VSM tile stage (0 = sequential tile loop).
   std::size_t vsm_workers() const { return options_.vsm_workers; }
   const core::Assignment& assignment() const { return assignment_; }
   const std::optional<core::FusedTilePlan>& vsm_plan() const { return vsm_; }
@@ -368,17 +362,13 @@ class OnlineEngine {
     // vsm_recorded[tile][0=scatter,1=gather]: transcript dedupe for the VSM
     // intra-edge messages (sized lazily on first stack execution).
     std::vector<std::array<bool, 2>> vsm_recorded;
-    // Faults survived so far (bounds Options::max_recovery_attempts).
+    // Faults survived so far (bounded by kMaxRecoveryAttempts).
     std::size_t recovery_attempts = 0;
     // True while a restore()d request re-runs its interrupted tier: unshipped
     // boundaries first try the buddy's replica store (Transport::replica_push)
     // and re-delivered payload bytes count into Stats::recovery_bytes. Cleared
     // when a tier completes.
     bool restored = false;
-    // Transport-materialised copies of delivered tensors, [slot][tier]: what a
-    // consumer reads when the transport round-trips payloads through the wire
-    // (SerializingLoopback). Left empty by zero-copy transports.
-    std::vector<std::array<std::optional<dnn::Tensor>, 3>> delivered;
     // Transport request id + teardown guard.
     std::uint64_t rpc_request = 0;
     std::unique_ptr<RpcRequestGuard> rpc_guard;
@@ -388,9 +378,10 @@ class OnlineEngine {
   // transcript and issues every remote verb the tier needs without waiting:
   // ops still on the wire land in `ops`, each with its success effect in
   // `effects`; ops a synchronous transport completed at issue are settled on
-  // the spot. Returns false when the pass ended early on a relay whose source
-  // is still on a remote node: its fetch is the last op issued, and once the
-  // caller has settled the ops, the next pass resumes at that boundary
+  // the spot. Returns false when the pass ended early — on a relay whose
+  // source is still remote (its fetch is the last op issued), or on a
+  // tile-worker stack — and once the caller has settled the ops, the next
+  // pass resumes there
   // (`computed`/`sent`/`shipped` make re-entry idempotent, exactly as for
   // recovery re-walks).
   bool walk_tier(RequestState& state, core::Tier tier,
@@ -413,10 +404,8 @@ class OnlineEngine {
   // Appends a journal snapshot of `state` at continuation cursor `next_stage`
   // (no-op without Options::journal).
   void checkpoint(RequestState& state, int next_stage) const;
-  void run_vsm_stack(RequestState& state) const;
-  // Edge fan-out: scatter tile crops to the transport's worker shards, run
-  // them concurrently (one lane per physical worker), gather in tile order.
-  void run_vsm_stack_sharded(RequestState& state, const dnn::Tensor& stack_input) const;
+  void run_vsm_stack(RequestState& state) const;  // in-process: no edge node or tile workers
+  void mark_stack_computed(RequestState& state) const;
   // Starts bringing layer `id`'s output to the coordinator. Returns the fetch
   // while it is still on the wire, else an invalid handle: the output is held
   // (it already was, or the transport completed the fetch at issue), or —
@@ -425,22 +414,14 @@ class OnlineEngine {
   // Lazily materialises layer `id`'s output at the coordinator (fetching from
   // the remote node that computed it and waiting, if needed) and returns it.
   const dnn::Tensor& materialize(RequestState& state, dnn::LayerId id) const;
-  // Transcript + traffic record for one VSM scatter/gather message. Byte
-  // counts are a pure function of the tile plan — shared by the local and
-  // remote stack paths, so their transcripts cannot diverge. With a non-null
-  // `payload` (local execution) the tile round-trips the transport; the
-  // materialised wire copy, if any, is returned for the caller to compute on.
-  std::optional<dnn::Tensor> record_vsm_message(RequestState& state, std::size_t tile,
-                                                bool gather,
-                                                const dnn::Tensor* payload) const;
-  // The tensor layer `producer`'s consumer at `at` computes on: the
-  // transport-materialised wire copy when one exists, else the canonical
-  // coordinator-held tensor.
-  const dnn::Tensor* resolve_input(RequestState& state, dnn::LayerId producer,
-                                   core::Tier at) const;
-  exec::OpContext op_context() const {
-    return exec::OpContext{nullptr, op_parallel_ ? &op_parallel_ : nullptr};
-  }
+  // Transcript + traffic record for one VSM scatter/gather message, recorded
+  // once per request; returns the record (the first one, on a re-run). Byte
+  // counts are a pure function of the tile plan — shared by every stack path,
+  // so their transcripts cannot diverge.
+  MessageRecord record_vsm_message(RequestState& state, std::size_t tile, bool gather) const;
+  // The coordinator-held tensor `producer`'s consumer computes on: the raw
+  // input, or the producer's output, materialised if a remote node holds it.
+  const dnn::Tensor& resolve_input(RequestState& state, dnn::LayerId producer) const;
 
   const dnn::Network& net_;
   const exec::WeightStore& weights_;
@@ -451,8 +432,7 @@ class OnlineEngine {
   // FNV-1a over the plan's binary form: stamped into every snapshot and
   // checked by restore() so a standby with a different plan fails loudly.
   std::uint64_t plan_hash_ = 0;
-  std::unique_ptr<ThreadPool> pool_;  // null in sequential mode
-  exec::ParallelFor op_parallel_;     // intra-op hook over pool_; empty if disabled
+  std::unique_ptr<ThreadPool> pool_;  // in-process tile lanes; null when vsm_workers == 0
   // Recovery counters (see Stats). Mutable: infer() is const and thread-safe.
   mutable std::atomic<std::uint64_t> recoveries_{0};
   mutable std::atomic<std::uint64_t> tiers_replayed_{0};

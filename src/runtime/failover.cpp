@@ -285,7 +285,6 @@ void StandbyCoordinator::promote() {
   const std::vector<Snapshot> live = RequestJournal::load(options_.journal_path);
   OnlineEngine::Options engine_options;
   engine_options.transport = transport;
-  engine_options.vsm_workers = options_.vsm_workers;
   engine_options.journal = std::make_shared<RequestJournal>(options_.journal_path);
   auto engine = std::make_unique<OnlineEngine>(net_, weights_, assignment_, vsm_, engine_options);
 

@@ -111,7 +111,6 @@ class StandbyCoordinator {
     int miss_threshold = 3;
     // Buddy replica holder to arm on the promoted transport ("" = none).
     std::string buddy;
-    std::size_t vsm_workers = 0;
     // Elide the weight shards from the promotion redials' kConfig (the
     // workers were booted from d3c bundles): each bundle names only the
     // weights hash. A hash disagreement makes promote() throw

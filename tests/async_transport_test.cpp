@@ -65,7 +65,9 @@ void expect_same_transcript(const InferenceResult& a, const InferenceResult& b) 
 }
 
 // One worker process per tier, wired into a configured SocketTransport
-// (same shape as socket_transport_test's cluster, minus the tile pool).
+// (same shape as socket_transport_test's cluster). With `tile_workers` > 0,
+// edge0 stays unattached and that many tile workers, spawned with
+// `tile_args`, shard the plan's VSM stack instead.
 struct Cluster {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<rpc::WorkerProcess>> procs;
@@ -73,17 +75,20 @@ struct Cluster {
       std::make_shared<rpc::SocketTransport>();
 
   Cluster(const dnn::Network& net, const exec::WeightStore& weights,
-          const core::SerializablePlan& plan,
-          const std::vector<std::string>& worker_args = {}) {
-    for (const char* node : {"device0", "edge0", "cloud0"}) {
-      auto proc = std::make_unique<rpc::WorkerProcess>(D3_NODE_BINARY, worker_args);
+          const core::SerializablePlan& plan, std::size_t tile_workers = 0,
+          const std::vector<std::string>& tile_args = {}) {
+    const auto spawn = [&](const std::string& node, const std::vector<std::string>& args) {
+      auto proc = std::make_unique<rpc::WorkerProcess>(D3_NODE_BINARY, args);
       rpc::Socket socket = proc->take_socket();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        procs[node] = std::move(proc);
-      }
-      transport->add_node(node, std::move(socket));
-    }
+      std::lock_guard<std::mutex> lock(mutex);
+      procs[node] = std::move(proc);
+      return socket;
+    };
+    for (const char* node : {"device0", "edge0", "cloud0"})
+      if (tile_workers == 0 || std::string(node) != "edge0")
+        transport->add_node(node, spawn(node, {}));
+    for (std::size_t k = 1; k <= tile_workers; ++k)
+      transport->add_tile_worker(spawn("edge" + std::to_string(k), tile_args));
     transport->configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
   }
 
@@ -135,6 +140,26 @@ core::Assignment three_tier_plan(const dnn::Network& net) {
   return a;
 }
 
+// tiny-chain with conv1+relu1 on the device, pool1..pool2 fused into a 2x2
+// VSM stack on the edge, and the fc tail in the cloud.
+struct VsmPlan {
+  core::Assignment assignment;
+  std::optional<core::FusedTilePlan> vsm;
+  core::SerializablePlan plan;
+
+  explicit VsmPlan(const dnn::Network& net) {
+    assignment.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
+    assignment.tier[0] = core::Tier::kDevice;
+    for (const dnn::LayerId id : {0, 1})
+      assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
+    const std::vector<dnn::LayerId> edge_stack = {2, 3, 4, 5};
+    for (const dnn::LayerId id : edge_stack)
+      assignment.tier[dnn::Network::vertex_of(id)] = core::Tier::kEdge;
+    vsm = core::make_fused_tile_plan(net, edge_stack, 2, 2);
+    plan = core::SerializablePlan{net.name(), assignment, vsm};
+  }
+};
+
 OnlineEngine make_wired(const Fixture& f, const core::Assignment& plan,
                         const std::shared_ptr<rpc::Transport>& transport,
                         const std::optional<core::FusedTilePlan>& vsm = std::nullopt) {
@@ -171,57 +196,70 @@ void PrintTo(const Traffic& t, std::ostream* os) {
 
 TEST(AsyncTransport, ReadinessDispatchMatchesBlockingAcrossProcesses) {
   constexpr std::uint64_t kRequests = 6;
-  for (const bool peers : {false, true}) {
-    for (const char* which : {"chain", "branch"}) {
-      SCOPED_TRACE(std::string(which) + (peers ? " with peers" : " on a star"));
-      Fixture f(std::string(which) == "chain" ? dnn::zoo::tiny_chain()
-                                              : dnn::zoo::tiny_branch());
-      const core::Assignment plan = three_tier_plan(f.net);
-      Cluster cluster(f.net, f.weights,
-                      core::SerializablePlan{f.net.name(), plan, std::nullopt});
-      if (peers) cluster.transport->connect_peers();
-      const OnlineEngine wired = make_wired(f, plan, cluster.transport);
+  struct Topology {
+    const char* net;
+    bool peers;
+    bool tile_workers;  // a 2x2 VSM stack on two tile workers, edge0 unattached
+  };
+  for (const Topology& topology :
+       {Topology{"chain", false, false}, Topology{"branch", false, false},
+        Topology{"chain", true, false}, Topology{"branch", true, false},
+        Topology{"chain", false, true}}) {
+    const bool peers = topology.peers;
+    const std::string which = topology.net;
+    SCOPED_TRACE(which + (topology.tile_workers ? " on tile workers"
+                          : peers             ? " with peers"
+                                              : " on a star"));
+    Fixture f(which == "chain" ? dnn::zoo::tiny_chain() : dnn::zoo::tiny_branch());
+    std::optional<VsmPlan> vsm_plan;
+    if (topology.tile_workers) vsm_plan.emplace(f.net);
+    const core::Assignment plan = vsm_plan ? vsm_plan->assignment : three_tier_plan(f.net);
+    const std::optional<core::FusedTilePlan> vsm = vsm_plan ? vsm_plan->vsm : std::nullopt;
+    Cluster cluster(f.net, f.weights, core::SerializablePlan{f.net.name(), plan, vsm},
+                    topology.tile_workers ? 2 : 0);
+    ASSERT_EQ(cluster.transport->has_tile_workers(), topology.tile_workers);
+    if (peers) cluster.transport->connect_peers();
+    const OnlineEngine wired = make_wired(f, plan, cluster.transport, vsm);
 
-      // The wired engine's own blocking infer() is the reference for the
-      // transcript, the (bitwise single-node-identical) output, and the wire
-      // traffic per request.
-      rpc::SocketTransport::Stats before = cluster.transport->stats();
-      InferenceResult reference;
-      for (std::uint64_t i = 0; i < kRequests; ++i) reference = wired.infer(f.input);
-      const Traffic expected = traffic_since(before, cluster.transport->stats());
-      expect_identical(reference.output, f.reference);
-      if (peers) {
-        // Every boundary rides a peer channel: the coordinator fetches the
-        // final output and nothing else, and relays nothing.
-        EXPECT_EQ(expected.fetched, kRequests * rpc::encode_tensor(reference.output).size());
-        EXPECT_EQ(expected.relay, 0u);
+    // The wired engine's own blocking infer() is the reference for the
+    // transcript, the (bitwise single-node-identical) output, and the wire
+    // traffic per request.
+    rpc::SocketTransport::Stats before = cluster.transport->stats();
+    InferenceResult reference;
+    for (std::uint64_t i = 0; i < kRequests; ++i) reference = wired.infer(f.input);
+    const Traffic expected = traffic_since(before, cluster.transport->stats());
+    expect_identical(reference.output, f.reference);
+    if (peers) {
+      // Every boundary rides a peer channel: the coordinator fetches the
+      // final output and nothing else, and relays nothing.
+      EXPECT_EQ(expected.fetched, kRequests * rpc::encode_tensor(reference.output).size());
+      EXPECT_EQ(expected.relay, 0u);
+    }
+
+    for (const bool readiness : {false, true}) {
+      SCOPED_TRACE(readiness ? "readiness dispatch" : "blocking dispatch");
+      ServingReactor::Options options;
+      options.readiness_dispatch = readiness;
+      ServingReactor reactor(wired, options);
+      before = cluster.transport->stats();
+      std::vector<std::size_t> ids;
+      for (std::uint64_t i = 0; i < kRequests; ++i) ids.push_back(reactor.submit(f.input));
+      for (const std::size_t id : ids) {
+        const InferenceResult result = reactor.wait(id);
+        expect_identical(result.output, reference.output);
+        expect_same_transcript(result, reference);
       }
-
-      for (const bool readiness : {false, true}) {
-        SCOPED_TRACE(readiness ? "readiness dispatch" : "blocking dispatch");
-        ServingReactor::Options options;
-        options.readiness_dispatch = readiness;
-        ServingReactor reactor(wired, options);
-        before = cluster.transport->stats();
-        std::vector<std::size_t> ids;
-        for (std::uint64_t i = 0; i < kRequests; ++i) ids.push_back(reactor.submit(f.input));
-        for (const std::size_t id : ids) {
-          const InferenceResult result = reactor.wait(id);
-          expect_identical(result.output, reference.output);
-          expect_same_transcript(result, reference);
-        }
-        EXPECT_EQ(traffic_since(before, cluster.transport->stats()), expected);
-        const ServingReactor::Stats stats = reactor.stats();
-        EXPECT_EQ(stats.completed, ids.size());
-        if (readiness) {
-          // The async walk must actually have parked on the wire at least
-          // once — otherwise this test silently degenerated to the blocking
-          // path.
-          EXPECT_GT(stats.parked_stages, 0u);
-          EXPECT_GT(stats.wire_wait_ms, 0.0);
-        } else {
-          EXPECT_EQ(stats.parked_stages, 0u);
-        }
+      EXPECT_EQ(traffic_since(before, cluster.transport->stats()), expected);
+      const ServingReactor::Stats stats = reactor.stats();
+      EXPECT_EQ(stats.completed, ids.size());
+      if (readiness) {
+        // The async walk must actually have parked on the wire at least
+        // once — otherwise this test silently degenerated to the blocking
+        // path.
+        EXPECT_GT(stats.parked_stages, 0u);
+        EXPECT_GT(stats.wire_wait_ms, 0.0);
+      } else {
+        EXPECT_EQ(stats.parked_stages, 0u);
       }
     }
   }
@@ -229,19 +267,9 @@ TEST(AsyncTransport, ReadinessDispatchMatchesBlockingAcrossProcesses) {
 
 TEST(AsyncTransport, ReadinessDispatchMatchesBlockingWithVsmStack) {
   Fixture f(dnn::zoo::tiny_chain());
-  core::Assignment plan;
-  plan.tier.assign(f.net.num_layers() + 1, core::Tier::kCloud);
-  plan.tier[0] = core::Tier::kDevice;
-  for (const dnn::LayerId id : {0, 1})
-    plan.tier[dnn::Network::vertex_of(id)] = core::Tier::kDevice;
-  const std::vector<dnn::LayerId> edge_stack = {2, 3, 4, 5};
-  for (const dnn::LayerId id : edge_stack)
-    plan.tier[dnn::Network::vertex_of(id)] = core::Tier::kEdge;
-  const std::optional<core::FusedTilePlan> vsm =
-      core::make_fused_tile_plan(f.net, edge_stack, 2, 2);
-
-  Cluster cluster(f.net, f.weights, core::SerializablePlan{f.net.name(), plan, vsm});
-  const OnlineEngine wired = make_wired(f, plan, cluster.transport, vsm);
+  const VsmPlan c(f.net);
+  Cluster cluster(f.net, f.weights, c.plan);
+  const OnlineEngine wired = make_wired(f, c.assignment, cluster.transport, c.vsm);
   const InferenceResult reference = wired.infer(f.input);
   expect_identical(reference.output, f.reference);
 
@@ -255,6 +283,42 @@ TEST(AsyncTransport, ReadinessDispatchMatchesBlockingWithVsmStack) {
     expect_identical(result.output, reference.output);
     expect_same_transcript(result, reference);
   }
+}
+
+// The edge fan-out drives its tile workers like every other node: the tier
+// walk issues each tile's put, run and fetch on its worker's channel and the
+// stage parks on them. The tile workers emulate 40 ms of service per kRunTile,
+// so when the edge stage parks the runs and the fetches queued behind them are
+// still on the wire.
+TEST(AsyncTransport, TileWorkerStackParksOnIssuedOps) {
+  Fixture f(dnn::zoo::tiny_chain());
+  const VsmPlan c(f.net);
+  Cluster cluster(f.net, f.weights, c.plan, /*tile_workers=*/2, {"--service-ms", "40"});
+  ASSERT_TRUE(cluster.transport->has_tile_workers());
+  OnlineEngine::Options engine_options;
+  engine_options.transport = cluster.transport;
+  engine_options.vsm_workers = 0;
+  const OnlineEngine wired(f.net, f.weights, c.assignment, c.vsm, engine_options);
+  const InferenceResult reference = wired.infer(f.input);
+  expect_identical(reference.output, f.reference);
+  expect_same_transcript(reference,
+                         OnlineEngine(f.net, f.weights, c.assignment, c.vsm).infer(f.input));
+
+  ServingReactor::Options options;
+  options.readiness_dispatch = true;
+  options.max_inflight = 1;
+  ServingReactor reactor(wired, options);
+  std::vector<std::size_t> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(reactor.submit(f.input));
+  for (const std::size_t id : ids) {
+    const InferenceResult result = reactor.wait(id);
+    expect_identical(result.output, f.reference);
+    expect_same_transcript(result, reference);
+  }
+  const ServingReactor::Stats stats = reactor.stats();
+  EXPECT_EQ(stats.completed, ids.size());
+  EXPECT_LE(stats.max_inflight, 1u);
+  EXPECT_GE(stats.outstanding_ops_high_water, 2 * c.vsm->num_tiles());
 }
 
 // --- Concurrency stress (run under TSan by the sanitizer CI job) ------------

@@ -12,7 +12,9 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -422,6 +424,55 @@ TEST(BundleBoot, VsmPoolWidthRidesTheBundle) {
   // Transcript parity with the in-process engine (transport-independence).
   const InferenceResult local = OnlineEngine(net, weights, assignment, vsm).infer(frame);
   expect_same_transcript(distributed, local);
+}
+
+// One "<key>:   <n> kB" line of /proc/<pid>/status, in bytes.
+std::uint64_t proc_status_bytes(pid_t pid, const std::string& key) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind(key + ":", 0) == 0) return std::stoull(line.substr(key.size() + 1)) * 1024;
+  throw std::runtime_error("no " + key + " in /proc/" + std::to_string(pid) + "/status");
+}
+
+TEST(BundleBoot, ShardKConfigPeaksBelowThreeCopiesOfTheShard) {
+  // Installing a shard-carrying kConfig may hold at most two copies of the
+  // shard at once (the decoded bundle's bytes and the WeightStore built from
+  // them): the frame body is freed as soon as the bundle is decoded. Three
+  // copies — body, bundle and WeightStore — would lift the worker's peak RSS
+  // by ~3 S; two keep it under 2.5 S.
+  const dnn::Network net = dnn::zoo::resnet18();
+  const exec::WeightStore weights = exec::WeightStore::random_for(net, 11);
+  core::Assignment assignment;
+  assignment.tier.assign(net.num_layers() + 1, core::Tier::kDevice);
+  const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
+  const std::uint64_t shard =
+      rpc::encode_weight_shard(weights, net, std::vector<bool>(net.num_layers(), true)).size();
+  ASSERT_GE(shard, std::uint64_t{40} << 20);
+
+#if defined(__SANITIZE_ADDRESS__)
+  // AddressSanitizer quarantines freed blocks instead of unmapping them, so
+  // the worker's peak would count the freed body as live: release at once.
+  const char* inherited = std::getenv("ASAN_OPTIONS");
+  const std::string asan_options = inherited ? inherited : "";
+  ::setenv("ASAN_OPTIONS", (asan_options + ":quarantine_size_mb=0").c_str(), 1);
+#endif
+  rpc::WorkerProcess worker(D3_NODE_BINARY);
+#if defined(__SANITIZE_ADDRESS__)
+  ::setenv("ASAN_OPTIONS", asan_options.c_str(), 1);
+#endif
+  rpc::SocketTransport transport;
+  transport.add_node("device0", worker.take_socket());
+  const std::uint64_t peak_before = proc_status_bytes(worker.pid(), "VmHWM");
+  transport.configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
+  const std::uint64_t peak_growth = proc_status_bytes(worker.pid(), "VmHWM") - peak_before;
+  RecordProperty("shard_bytes", std::to_string(shard));
+  RecordProperty("peak_growth_bytes", std::to_string(peak_growth));
+  // The worker really holds the shard, so the measurement saw the install.
+  EXPECT_GE(proc_status_bytes(worker.pid(), "VmRSS"), shard);
+  EXPECT_GE(peak_growth, shard);
+  EXPECT_LT(static_cast<double>(peak_growth), 2.5 * static_cast<double>(shard))
+      << "peak grew " << peak_growth << " B for a " << shard << " B shard";
 }
 
 }  // namespace

@@ -132,31 +132,6 @@ TEST(ConcurrencyStress, ThreadedTranscriptMatchesSequentialEngine) {
   }
 }
 
-TEST(ConcurrencyStress, IntraOpParallelEngineIsBitwiseIdenticalToSequential) {
-  // Options::intra_op_workers splits single-layer kernels across the pool; it
-  // must not change outputs or transcripts, and a pool created for intra-op
-  // work alone must NOT turn on parallel VSM tiles (vsm_workers() stays 0).
-  for (Workload& w : zoo_workloads(3, 777)) {
-    const OnlineEngine sequential(w.net, w.weights, w.plan, w.vsm);
-    const OnlineEngine intra_only(w.net, w.weights, w.plan, w.vsm,
-                                  OnlineEngine::Options{.intra_op_workers = 4});
-    const OnlineEngine both(
-        w.net, w.weights, w.plan, w.vsm,
-        OnlineEngine::Options{.vsm_workers = 2, .intra_op_workers = 4});
-    ASSERT_EQ(intra_only.vsm_workers(), 0u);  // pool exists, tiles stay serial
-    ASSERT_EQ(both.vsm_workers(), 2u);  // tile width stays as configured, not pool size
-    for (const dnn::Tensor& input : w.inputs) {
-      const InferenceResult a = sequential.infer(input);
-      const InferenceResult b = intra_only.infer(input);
-      const InferenceResult c = both.infer(input);
-      expect_identical(a.output, b.output);
-      expect_identical(a.output, c.output);
-      expect_same_transcript(a, b);
-      expect_same_transcript(a, c);
-    }
-  }
-}
-
 TEST(ConcurrencyStress, RepeatedSeededRunsProduceIdenticalTranscripts) {
   // Same seeds, three repetitions: transcripts must be byte-identical run to
   // run — thread interleaving must never leak into the observable record.

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -379,6 +380,108 @@ INSTANTIATE_TEST_SUITE_P(
                       TileKillPoint{"run_tile_second_shard", Op::kRunTile, "edge2", 2},
                       TileKillPoint{"get_tile_first_shard", Op::kGetTile, "edge1", 1},
                       TileKillPoint{"get_tile_second_shard", Op::kGetTile, "edge2", 2}));
+
+// Forwards every verb to `inner` and records the envelope meta of each
+// put_tile it passes on.
+class PutTileRecorder final : public rpc::Transport {
+ public:
+  explicit PutTileRecorder(std::shared_ptr<rpc::Transport> inner) : inner_(std::move(inner)) {}
+
+  std::vector<std::pair<std::size_t, MessageRecord>> puts;  // (tile, meta)
+
+  std::string name() const override { return "recorder(" + inner_->name() + ")"; }
+  std::uint64_t open_request() override { return inner_->open_request(); }
+  void close_request(std::uint64_t request) noexcept override { inner_->close_request(request); }
+  void seed(std::uint64_t request, const std::string& node, std::uint64_t slot,
+            const dnn::Tensor& tensor) override {
+    inner_->seed(request, node, slot, tensor);
+  }
+  std::optional<dnn::Tensor> send(std::uint64_t request, const MessageRecord& meta,
+                                  std::uint64_t slot, const dnn::Tensor& tensor) override {
+    return inner_->send(request, meta, slot, tensor);
+  }
+  bool run_layer(std::uint64_t request, const std::string& node, dnn::LayerId layer) override {
+    return inner_->run_layer(request, node, layer);
+  }
+  bool run_stack(std::uint64_t request, const std::string& node) override {
+    return inner_->run_stack(request, node);
+  }
+  dnn::Tensor fetch(std::uint64_t request, const std::string& node,
+                    std::uint64_t slot) override {
+    return inner_->fetch(request, node, slot);
+  }
+  bool send_peer(std::uint64_t request, const MessageRecord& meta,
+                 std::uint64_t slot) override {
+    return inner_->send_peer(request, meta, slot);
+  }
+  bool reopen(std::uint64_t request, const std::string& node) override {
+    return inner_->reopen(request, node);
+  }
+  std::size_t prune_tile_workers() override { return inner_->prune_tile_workers(); }
+  bool has_tile_workers() const override { return inner_->has_tile_workers(); }
+  std::size_t tile_worker_count() const override { return inner_->tile_worker_count(); }
+  std::string tile_node(std::size_t tile) const override { return inner_->tile_node(tile); }
+  void put_tile(std::uint64_t request, const MessageRecord& meta, std::size_t tile,
+                const dnn::Tensor& input) override {
+    puts.emplace_back(tile, meta);
+    inner_->put_tile(request, meta, tile, input);
+  }
+  void run_tile(std::uint64_t request, std::size_t tile) override {
+    inner_->run_tile(request, tile);
+  }
+  dnn::Tensor fetch_tile(std::uint64_t request, std::size_t tile) override {
+    return inner_->fetch_tile(request, tile);
+  }
+
+ private:
+  std::shared_ptr<rpc::Transport> inner_;
+};
+
+TEST(FaultInjection, ReRunTilePutsCarryTheirOwnScatterRecords) {
+  // A kRunTile kill re-runs the whole stack after the first pass already
+  // recorded every scatter message. Each tile's put — first pass and re-run
+  // alike — must carry that tile's own transcript record, seq included.
+  const VsmCase c;
+  const exec::WeightStore weights = exec::WeightStore::random_for(c.net, 93);
+  util::Rng rng(94);
+  const dnn::Tensor frame = exec::random_tensor(c.net.input_shape(), rng);
+  const dnn::Tensor reference = exec::Executor(c.net, weights).run(frame);
+
+  FaultCluster cluster;
+  cluster.attach("device0");
+  cluster.attach("cloud0");
+  cluster.attach_tile_worker(0);
+  cluster.attach_tile_worker(1);
+  for (const char* node : {"device0", "cloud0", "edge1", "edge2"})
+    cluster.enable_respawn(node);
+  cluster.configure(c.net, weights, c.plan, 0);
+  cluster.faults->schedule(Fault{Op::kRunTile, "edge1", 1, Action::kKill, {}, ""});
+  const auto recorder = std::make_shared<PutTileRecorder>(cluster.faults);
+
+  OnlineEngine::Options options;
+  options.transport = recorder;
+  const OnlineEngine engine(c.net, weights, c.assignment, c.vsm, options);
+
+  const InferenceResult recovered = engine.infer(frame);
+  expect_identical(recovered.output, reference);
+  expect_same_transcript(recovered,
+                         OnlineEngine(c.net, weights, c.assignment, c.vsm).infer(frame));
+  ASSERT_EQ(cluster.faults->stats().kills, 1u);
+
+  // Every tile's crop went out twice: the first pass, then the re-run.
+  ASSERT_EQ(recorder->puts.size(), 2 * c.vsm->num_tiles());
+  for (const auto& [tile, meta] : recorder->puts) {
+    SCOPED_TRACE("tile " + std::to_string(tile));
+    ASSERT_LT(meta.seq, recovered.messages.size());
+    const MessageRecord& scatter = recovered.messages[meta.seq];
+    EXPECT_EQ(scatter.payload, "tile(" + std::to_string(tile) + ") input");
+    EXPECT_EQ(meta.seq, scatter.seq);
+    EXPECT_EQ(meta.payload, scatter.payload);
+    EXPECT_EQ(meta.from_node, scatter.from_node);
+    EXPECT_EQ(meta.to_node, scatter.to_node);
+    EXPECT_EQ(meta.bytes, scatter.bytes);
+  }
+}
 
 TEST(FaultInjection, DeadTileWorkerWithoutRespawnIsReshardedAcrossSurvivors) {
   // No reconnect hook for edge2: its death prunes it from the shard map and

@@ -341,7 +341,6 @@ TEST(SocketTransport, MultiEdgeFanOutAcrossFourProcesses) {
 
   OnlineEngine::Options options;
   options.transport = cluster.transport;
-  options.vsm_workers = 2;  // pool lanes driving the two worker connections
   const OnlineEngine engine(c.net, weights, c.assignment, c.vsm, options);
 
   const InferenceResult distributed = engine.infer(frame);

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
         options.crash_after_frames = std::stoull(argv[arg + 1]);
         arg += 2;
       } else if (std::string(argv[arg]) == "--service-ms" && arg + 1 < argc) {
-        // Emulated per-kRunLayer/kRunStack service latency (overlap benches).
+        // Emulated per-kRunLayer/kRunStack/kRunTile service latency (overlap benches).
         options.service_seconds = std::stod(argv[arg + 1]) / 1e3;
         arg += 2;
       } else if (std::string(argv[arg]) == "--bundle" && arg + 2 < argc) {
