@@ -3,6 +3,7 @@
 
     python3 bench/ab.py PARENT [CHANGE] --workload W [W ...] --pairs N \\
         --seconds S --seed K --out FILE [--show METRIC ...]
+    python3 bench/ab.py --diff OLD.json NEW.json
 
 PARENT and CHANGE are git refs, or "." for the working tree (CHANGE defaults
 to "."). A ref is `git archive`d into .bench_build/ab/<commit> at the
@@ -22,6 +23,11 @@ flags and the failed totals are printed per side. FILE receives every run's
 values and the summary as JSON. The exit code is 1 when a run failed to start
 or printed no result, or an output was incorrect; otherwise 0 — no metric
 gates the exit code.
+
+--diff prints two such files (say the last two in bench/history/) workload by
+workload, OLD's table above NEW's, through the same printer. It sets no
+number from one file against the other: each was measured in its own session,
+and the host drifts between sessions.
 """
 import argparse
 import json
@@ -123,18 +129,59 @@ def fmt(x):
     return "%.0f" % x if abs(x) >= 1000 else "%.4g" % x
 
 
+def print_workload(report, workload, source=""):
+    """One workload's table and health lines, for a live A/B and --diff alike."""
+    point = report["workloads"][workload]
+    print("\n== %s%s: %d pairs, %s s, seed %d (parent %s, change %s) ==" % (
+        source, workload, report["pairs"], fmt(report["seconds"]), report["seed"],
+        report["parent"]["commit"], report["change"]["commit"]))
+    print("%-34s %28s %28s %8s %6s %6s" % ("metric", "parent median [IQR]",
+                                            "change median [IQR]", "delta", "wins", "bound"))
+    for name, row in point["summary"].items():
+        p, c = row["parent"], row["change"]
+        print("%-34s %28s %28s %+7.1f%% %6s %6s %s" % (
+            name, "%s [%s-%s]" % (fmt(p["median"]), fmt(p["q1"]), fmt(p["q3"])),
+            "%s [%s-%s]" % (fmt(c["median"]), fmt(c["q1"]), fmt(c["q3"])),
+            100 * row["delta"], "%d/%d" % (row["wins"], row["pairs"]) if "bound" in row
+            else "-", "%g%%" % (100 * row["bound"]) if "bound" in row else "-",
+            row.get("verdict", "")))
+    for side in ("parent", "change"):
+        h = point["health"][side]
+        print("%s: correct %s, failed %d of %d" % (
+            side, "true" if h["correct"] else "FALSE", h["failed"], h["attempted"]))
+
+
+def diff(old_path, new_path):
+    reports = []
+    for path in (old_path, new_path):
+        with open(path) as f:
+            reports.append((path, json.load(f)))
+    workloads = list(reports[1][1]["workloads"]) + list(reports[0][1]["workloads"])
+    for workload in dict.fromkeys(workloads):
+        for path, report in reports:
+            if workload in report["workloads"]:
+                print_workload(report, workload, path + ": ")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
+    parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?", default=".")
-    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="print two A/B files' tables instead of running")
+    parser.add_argument("--workload", nargs="+")
     parser.add_argument("--pairs", type=int, default=6)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out")
     parser.add_argument("--show", nargs="*", default=[],
                         help="per-layer metrics to summarise as well")
     args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    if not (args.parent and args.workload and args.out):
+        parser.error("an A/B run needs PARENT, --workload and --out")
 
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         bounded = json.load(f)["end_to_end"]
@@ -192,24 +239,7 @@ def main():
         healthy = healthy and all(h["correct"] for h in health.values())
         report["workloads"][workload] = {"runs": runs, "summary": summary, "health": health}
 
-        print("\n== %s: %d pairs, %s s, seed %d (parent %s, change %s) ==" % (
-            workload, args.pairs, fmt(args.seconds), args.seed, sides["parent"]["commit"],
-            sides["change"]["commit"]))
-        print("%-34s %28s %28s %8s %6s %6s" % ("metric", "parent median [IQR]",
-                                                "change median [IQR]", "delta", "wins",
-                                                "bound"))
-        for name, row in summary.items():
-            p, c = row["parent"], row["change"]
-            print("%-34s %28s %28s %+7.1f%% %6s %6s %s" % (
-                name, "%s [%s-%s]" % (fmt(p["median"]), fmt(p["q1"]), fmt(p["q3"])),
-                "%s [%s-%s]" % (fmt(c["median"]), fmt(c["q1"]), fmt(c["q3"])),
-                100 * row["delta"], "%d/%d" % (row["wins"], row["pairs"]) if "bound" in row
-                else "-", "%g%%" % (100 * row["bound"]) if "bound" in row else "-",
-                row.get("verdict", "")))
-        for side in ("parent", "change"):
-            h = health[side]
-            print("%s: correct %s, failed %d of %d" % (
-                side, "true" if h["correct"] else "FALSE", h["failed"], h["attempted"]))
+        print_workload(report, workload)
 
         with open(args.out, "w") as f:
             json.dump(report, f, indent=1, sort_keys=True)

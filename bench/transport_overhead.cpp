@@ -114,9 +114,9 @@ struct Row {
 // edge worker, deterministically placed via FaultInjectionTransport) complete
 // either by the old full-replay contract or by tier-granular migration;
 // coordinator deaths (abandon mid-request) complete on a standby restoring the
-// request journal, with or without a buddy replica store to re-deliver from.
+// request journal, on a star or over peer channels.
 struct RecoveryRow {
-  // full-replay | tier-migration | coordinator-failover[+buddy] | promotion
+  // full-replay | tier-migration | coordinator-failover[+peers] | promotion
   std::string mode;
   double seconds = 0;          // interrupted-request wall clock, death -> result
   std::uint64_t bytes = 0;     // tensor bytes re-moved to finish the request
@@ -213,11 +213,11 @@ RecoveryRow measure_recovery(bool migrate) {
 // is abandoned exactly as a SIGKILL'd process would leave it, workers keeping
 // their slots and the journal its snapshots) and a standby engine over the
 // surviving workers restores the last snapshot and resumes. At the abandon
-// point the device->edge boundary has shipped — and, in buddy mode, been
-// replicated to the buddy's store — so the standby either re-seeds it from
-// the device (recovery bytes > 0) or re-delivers it worker->worker out of the
-// replica store (recovery bytes == 0).
-RecoveryRow measure_failover(bool buddy) {
+// point the device->edge boundary has shipped, but the snapshot predates it,
+// so the standby re-delivers it: on a star it re-seeds it from the device
+// through the coordinator (recovery bytes > 0); with peer channels the device
+// pushes it worker->worker (recovery bytes == 0).
+RecoveryRow measure_failover(bool peers) {
   dnn::Network net = dnn::zoo::tiny_chain();
   core::Assignment a;
   a.tier.assign(net.num_layers() + 1, core::Tier::kCloud);
@@ -238,10 +238,10 @@ RecoveryRow measure_failover(bool buddy) {
   }
   const core::SerializablePlan plan{net.name(), a, std::nullopt};
   socket->configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
-  if (buddy) socket->set_buddy("cloud0");
+  if (peers) socket->connect_peers();
 
   const std::string journal_path =
-      buddy ? "BENCH_failover_buddy.d3j" : "BENCH_failover.d3j";
+      peers ? "BENCH_failover_peers.d3j" : "BENCH_failover.d3j";
   std::remove(journal_path.c_str());
 
   auto faults = std::make_shared<rpc::FaultInjectionTransport>(socket);
@@ -280,7 +280,7 @@ RecoveryRow measure_failover(bool buddy) {
   std::remove(journal_path.c_str());
 
   RecoveryRow row;
-  row.mode = buddy ? "coordinator-failover+buddy" : "coordinator-failover";
+  row.mode = peers ? "coordinator-failover+peers" : "coordinator-failover";
   row.seconds = std::chrono::duration<double>(t1 - t0).count();
   row.bytes = standby.stats().recovery_bytes;
   return row;
@@ -291,11 +291,11 @@ RecoveryRow measure_failover(bool buddy) {
 // engine plus its CoordinatorBeacon) is interrupted mid-edge-tier and the
 // beacon goes dark; a StandbyCoordinator watching it over the address book
 // misses its beats, promotes itself at a higher fencing epoch, redials the
-// listen-mode workers, and resumes the snapshot. Seconds run from beacon
-// death to the bitwise-correct resumed result, so the row prices the whole
-// pipeline: the detection window (miss_threshold x probe_interval), the
-// epoch-stamped redial + kConfig replay, the journal restore, and the
-// re-run of the interrupted tier.
+// listen-mode workers, links their peer channels, and resumes the snapshot.
+// Seconds run from beacon death to the bitwise-correct resumed result, so the
+// row prices the whole pipeline: the detection window (miss_threshold x
+// probe_interval), the epoch-stamped redial + kConfig replay + peer
+// handshake, the journal restore, and the re-run of the interrupted tier.
 RecoveryRow measure_promotion() {
   dnn::Network net = dnn::zoo::tiny_chain();
   core::Assignment a;
@@ -560,17 +560,17 @@ int main() {
     }
   }
   // Coordinator failover: same interruption point, but the *coordinator* is
-  // the casualty and a standby resumes from the request journal. The buddy
-  // row must re-move strictly fewer bytes — that saving is the entire point
-  // of ship-time replication.
+  // the casualty and a standby resumes from the request journal. The peers
+  // row must re-move strictly fewer bytes: the producers still hold the
+  // boundaries, so nothing needs to cross the standby.
   std::optional<std::uint64_t> reseed_bytes;
-  for (const bool buddy : {false, true}) {
+  for (const bool peers : {false, true}) {
     try {
-      recovery.push_back(measure_failover(buddy));
-      if (!buddy) {
+      recovery.push_back(measure_failover(peers));
+      if (!peers) {
         reseed_bytes = recovery.back().bytes;
       } else if (reseed_bytes && recovery.back().bytes >= *reseed_bytes) {
-        std::cerr << "FATAL: buddy failover re-moved " << recovery.back().bytes
+        std::cerr << "FATAL: peer failover re-moved " << recovery.back().bytes
                   << " bytes, not below the " << *reseed_bytes << " re-seed cost\n";
         std::abort();
       }
@@ -650,12 +650,12 @@ int main() {
       "one tier) — migration re-moves only the interrupted tier's inputs. The "
       "coordinator-failover rows interrupt the *coordinator* instead: a standby "
       "replays the request journal and resumes the snapshot, re-seeding the "
-      "interrupted tier's boundary from the producer — or, with a buddy replica "
-      "store, re-delivering it worker -> worker for zero re-moved bytes. The "
-      "promotion row automates the whole takeover: a StandbyCoordinator misses "
-      "the dead beacon's heartbeats, redials the workers at a higher fencing "
-      "epoch and resumes unattended, so its latency includes the detection "
-      "window itself. "
+      "interrupted tier's boundary through the coordinator on a star — or, with "
+      "peer channels, having the producer push it worker -> worker for zero "
+      "re-moved bytes. The promotion row automates the whole takeover: a "
+      "StandbyCoordinator misses the dead beacon's heartbeats, redials the "
+      "workers at a higher fencing epoch, links their peer channels and resumes "
+      "unattended, so its latency includes the detection window itself. "
       "Compare us/MB here with the per-frame boundary traffic of "
       "bench_fig13_comm_overhead and with Options::emulated_tier_service_seconds "
       "when emulating remote tiers on one host.");

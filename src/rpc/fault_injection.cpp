@@ -10,10 +10,9 @@ namespace d3::rpc {
 FaultInjectionTransport::FaultInjectionTransport(std::shared_ptr<Transport> inner)
     : inner_(std::move(inner)) {
   if (!inner_) throw std::invalid_argument("FaultInjectionTransport: null inner transport");
-  // Socket-internal ops (peer handshake legs, replica pushes) never cross the
-  // Transport interface; the observer routes them into the same fault plan.
-  // The observer throwing (Action::kFail) propagates exactly like the wire
-  // call it precedes failing.
+  // The peer handshake legs never cross the Transport interface; the observer
+  // routes them into the same fault plan. The observer throwing
+  // (Action::kFail) propagates exactly like the wire call it precedes failing.
   if (auto* socket = dynamic_cast<SocketTransport*>(inner_.get())) {
     socket->set_op_observer([this](MsgKind kind, const std::string& node) {
       switch (kind) {
@@ -25,9 +24,6 @@ FaultInjectionTransport::FaultInjectionTransport(std::shared_ptr<Transport> inne
           break;
         case MsgKind::kPeerHello:
           enter(Op::kPeerHello, node);
-          break;
-        case MsgKind::kPutReplica:
-          enter(Op::kPutReplica, node);
           break;
         default:
           break;  // future observer points count as nothing until mapped
@@ -187,17 +183,6 @@ void FaultInjectionTransport::open_request_as(std::uint64_t request) {
   const bool duplicate = enter(Op::kBegin, "");
   inner_->open_request_as(request);
   if (duplicate) inner_->open_request_as(request);
-}
-
-bool FaultInjectionTransport::replica_push(std::uint64_t request,
-                                           const runtime::MessageRecord& meta,
-                                           std::uint64_t slot) {
-  // The buddy-side kPushPeer round-trip. The inner socket transport reports
-  // the replication *store* via the observer (Op::kPutReplica); this entry
-  // point is its failover-time consumption.
-  const bool duplicate = enter(Op::kPushPeer, meta.from_node);
-  if (duplicate) inner_->replica_push(request, meta, slot);
-  return inner_->replica_push(request, meta, slot);
 }
 
 void FaultInjectionTransport::ping(const std::string& node) {

@@ -56,13 +56,12 @@ class FaultInjectionTransport final : public Transport {
     kGetTile,    // fetch_tile                   -> kGetTile
     // Ops below are emitted by SocketTransport internals rather than 1:1
     // Transport entry points; a socket inner transport reports them through
-    // its op observer so kill points can target the handshake and
-    // replication sub-steps of connect_peers()/send().
+    // its op observer so kill points can target the handshake sub-steps of
+    // connect_peers().
     kPeerListen,   // peer-listener open leg of link_peers -> kPeerListen
     kConnectPeer,  // dialling leg of link_peers           -> kConnectPeer
     kPeerHello,    // window between the two legs: the worker-side handshake
     kPing,         // liveness probe round-trip            -> kPing
-    kPutReplica,   // buddy replication push               -> kPutReplica
     kAny,          // matches every op (script wildcards only)
   };
 
@@ -90,9 +89,9 @@ class FaultInjectionTransport final : public Transport {
   };
 
   // Wrapping a SocketTransport also installs an op observer on it, so the
-  // socket-internal ops (kPeerListen/kConnectPeer/kPeerHello/kPutReplica) hit
-  // the same fault plan as the Transport entry points — a scripted kKill on
-  // Op::kPutReplica fires right before the replica frame goes out.
+  // socket-internal ops (kPeerListen/kConnectPeer/kPeerHello) hit the same
+  // fault plan as the Transport entry points — a scripted kKill on
+  // Op::kConnectPeer fires right before the dialling leg goes out.
   explicit FaultInjectionTransport(std::shared_ptr<Transport> inner);
 
   // Registers the process-killer the kKill action invokes with the target
@@ -122,8 +121,6 @@ class FaultInjectionTransport final : public Transport {
                  std::uint64_t slot) override;
   bool reopen(std::uint64_t request, const std::string& node) override;
   void open_request_as(std::uint64_t request) override;
-  bool replica_push(std::uint64_t request, const runtime::MessageRecord& meta,
-                    std::uint64_t slot) override;
   void ping(const std::string& node) override;
   std::vector<std::string> heartbeat_targets() override { return inner_->heartbeat_targets(); }
   int heartbeat_due_ms() override { return inner_->heartbeat_due_ms(); }

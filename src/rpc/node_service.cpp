@@ -43,7 +43,7 @@ class NodeService {
  public:
   // Listen mode: the service outlives coordinator connections; each accepted
   // one is attached here (and detached on hang-up) while every other piece of
-  // node state — slots, replicas, peer channels, the fencing high-water mark —
+  // node state — slots, peer channels, the fencing high-water mark —
   // persists. Several coordinator connections may be attached at once (an
   // active and a deposed one during a failover): each carries its own fencing
   // epoch, set by the kConfig it sent, and every verb on a connection whose
@@ -114,7 +114,6 @@ class NodeService {
     switch (request.kind) {
       case MsgKind::kBegin: return begin(r);
       case MsgKind::kPut: return put(r);
-      case MsgKind::kPutReplica: return put_replica(r);
       case MsgKind::kPing: return Frame{MsgKind::kPong, {}};
       case MsgKind::kRunLayer: return run_layer(r);
       case MsgKind::kRunStack: return run_stack(r);
@@ -290,8 +289,8 @@ class NodeService {
     // Idempotent on content identity — (node, model, plan hash, weights hash,
     // pool width) — NOT on raw body bytes: a standby coordinator taking over
     // replays the same deployment (possibly elided, e.g. to a bundle-booted
-    // worker), and wiping per-request slots (and buddy replicas) here would
-    // destroy exactly the state the takeover needs.
+    // worker), and wiping per-request slots here would destroy exactly the
+    // state the takeover needs.
     if (net_ && bundle.node_name == node_name_ && bundle.model_name == model_name_ &&
         fnv1a(bundle.plan_bytes) == plan_hash_ && bundle.weights_hash == weights_hash_ &&
         bundle.vsm_workers == vsm_workers_)
@@ -361,16 +360,12 @@ class NodeService {
   }
 
   // Stores an Envelope-carried tensor into a request slot; shared by the
-  // coordinator's kPut, the peer channel's kPeerPut, and — with the addressee
-  // check waived — the buddy-replica kPutReplica, whose envelope deliberately
-  // names the *real* consumer so a failed-over coordinator can re-push it
-  // peer-to-peer verbatim.
-  void store_envelope(std::uint64_t id, std::uint64_t slot, Envelope env,
-                      bool check_addressee = true) {
+  // coordinator's kPut and the peer channel's kPeerPut.
+  void store_envelope(std::uint64_t id, std::uint64_t slot, Envelope env) {
     RequestSlots& req = request(id);
     if (slot >= req.slots.size())
       throw WireError("node: put slot " + std::to_string(slot) + " out of range");
-    if (check_addressee && !env.meta.to_node.empty() && env.meta.to_node != node_name_)
+    if (!env.meta.to_node.empty() && env.meta.to_node != node_name_)
       throw WireError("node '" + node_name_ + "': envelope addressed to '" +
                       env.meta.to_node + "'");
     req.slots[slot] = decode_tensor(env.payload);
@@ -383,16 +378,6 @@ class NodeService {
     Envelope env = decode_envelope(r);
     r.expect_end("put");
     store_envelope(id, slot, std::move(env));
-    return ok();
-  }
-
-  Frame put_replica(WireReader& r) {
-    require_configured();
-    const std::uint64_t id = r.u64();
-    const std::uint64_t slot = r.u64();
-    Envelope env = decode_envelope(r);
-    r.expect_end("put-replica");
-    store_envelope(id, slot, std::move(env), /*check_addressee=*/false);
     return ok();
   }
 

@@ -65,11 +65,11 @@ void serve_node(int fd, const ServeOptions& options = {});
 
 // Listen-mode worker (d3_node --listen): serves any number of concurrent
 // coordinator connections accepted from `listener`, with ONE persistent node
-// state across them — per-request slots, buddy replicas, and peer channels
-// all survive a coordinator that hangs up or dies mid-conversation. That is
-// what makes coordinator failover work: a standby coordinator dials the same
-// worker, replays kConfig (idempotent — an identical config keeps the state),
-// and resumes journalled requests against the slots the previous coordinator
+// state across them — per-request slots and peer channels both survive a
+// coordinator that hangs up or dies mid-conversation. That is what makes
+// coordinator failover work: a standby coordinator dials the same worker,
+// replays kConfig (idempotent — an identical config keeps the state), and
+// resumes journalled requests against the slots the previous coordinator
 // already seeded. Concurrent coordinators are disambiguated by the fencing
 // epoch their kConfig carried: every verb from a connection whose epoch is
 // below the worker-wide maximum is answered kFenced before any state

@@ -39,7 +39,7 @@ inline constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 31;
 // worker <-> worker peer-channel frames (docs/PROTOCOL.md is the full spec).
 enum class MsgKind : std::uint8_t {
   // Coordinator -> worker requests.
-  kConfig = 1,       // model name + weights + plan + options: makes the node live
+  kConfig = 1,       // fencing epoch + the node's deployment bundle: makes it live
   kBegin = 2,        // open per-request slot state
   kPut = 3,          // deliver an Envelope into a slot
   kRunLayer = 4,     // execute one layer from the node's slots
@@ -53,10 +53,7 @@ enum class MsgKind : std::uint8_t {
   kPutTile = 12,     // deliver one VSM tile input (edge fan-out worker)
   kRunTile = 13,     // run the fused stack over one delivered tile
   kGetTile = 14,     // fetch one computed tile output back
-  kPutReplica = 15,  // deliver an Envelope into a slot as a buddy *replica*:
-                     // stored verbatim even though the envelope is addressed
-                     // to the real consumer, so a failed-over coordinator can
-                     // re-deliver it peer-to-peer without re-materialising
+  // 15 is retired (the buddy replica store's put) and never reused.
   kPing = 16,        // liveness probe; the node answers kPong immediately
   kJournalSync = 17, // standby -> active beacon: pull the request journal;
                      // kOk body = u64 fencing epoch + blob journal file bytes

@@ -621,30 +621,6 @@ std::optional<dnn::Tensor> SocketTransport::send(std::uint64_t request,
   return std::nullopt;
 }
 
-void SocketTransport::replicate(std::uint64_t request, const runtime::MessageRecord& meta,
-                                std::uint64_t slot, const dnn::Tensor& tensor) {
-  if (buddy_name_.empty() || meta.to_node == buddy_name_) return;
-  Node* buddy = find(buddy_name_);
-  if (!buddy) return;
-  try {
-    observe(MsgKind::kPutReplica, buddy_name_);
-    WireWriter w;
-    w.u64(request);
-    w.u64(slot);
-    // The envelope names the true consumer, not the buddy: a failed-over
-    // coordinator hands the stored copy straight to push_peer routing.
-    const Envelope env{meta, encode_tensor(tensor)};
-    encode_envelope(w, env);
-    call(*buddy, MsgKind::kPutReplica, w.buffer());
-    replica_pushes_.fetch_add(1, std::memory_order_relaxed);
-    replica_bytes_.fetch_add(env.payload.size(), std::memory_order_relaxed);
-  } catch (...) {
-    // Best-effort by design: losing the buddy only degrades failover back to
-    // re-seeding; it must never fail the request being served.
-    replica_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 std::uint64_t SocketTransport::push_peer(Node& from, std::uint64_t request,
                                          const runtime::MessageRecord& meta,
                                          std::uint64_t slot) {
@@ -662,11 +638,6 @@ std::uint64_t SocketTransport::push_peer(Node& from, std::uint64_t request,
 bool SocketTransport::send_peer(std::uint64_t request, const runtime::MessageRecord& meta,
                                 std::uint64_t slot) {
   if (!peers_enabled_ || slot == kNoSlot) return false;
-  // Buddy mode pins ship-time payloads to the coordinator (a peer push would
-  // leave it with nothing to replicate), so boundary tensors take the relay
-  // path + kPutReplica instead. The peer fabric is reserved for failover-time
-  // replica_push deliveries.
-  if (!buddy_name_.empty()) return false;
   Node* from = find(meta.from_node);
   Node* to = find(meta.to_node);
   if (!from || !to) return false;  // one endpoint hosted in-process: relay path
@@ -687,46 +658,6 @@ bool SocketTransport::send_peer(std::uint64_t request, const runtime::MessageRec
   }
   peer_pushes_.fetch_add(1, std::memory_order_relaxed);
   peer_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  return true;
-}
-
-bool SocketTransport::replica_push(std::uint64_t request, const runtime::MessageRecord& meta,
-                                   std::uint64_t slot) {
-  if (buddy_name_.empty() || slot == kNoSlot) return false;
-  Node* buddy = find(buddy_name_);
-  Node* to = find(meta.to_node);
-  if (!buddy || !to || buddy == to) return false;
-  // The push is speculative — a standby cannot know which ships the dead
-  // coordinator got replicated before dying. A buddy that never stored the
-  // slot answers kErrorState naming itself (ChannelDied with its name), and
-  // any buddy-side failure means the same thing to the caller: fall back to
-  // materialize + send.
-  const auto buddy_failed = [&](const ChannelDied& e) { return e.node() == buddy_name_; };
-  std::uint64_t bytes = 0;
-  try {
-    try {
-      bytes = push_peer(*buddy, request, meta, slot);
-    } catch (const ChannelDied& e) {
-      if (buddy_failed(e)) return false;
-      throw;  // destination-side state loss: the caller's recovery problem
-    } catch (const Fenced&) {
-      throw;  // deposed: a handshake retry cannot regain ownership
-    } catch (const TransportError&) {
-      // A fresh standby has no peer channels yet: re-run the handshake once.
-      link_peers(*buddy, *to);
-      bytes = push_peer(*buddy, request, meta, slot);
-    }
-  } catch (const ChannelDied& e) {
-    if (buddy_failed(e)) return false;
-    throw;
-  } catch (const Fenced&) {
-    throw;
-  } catch (const TransportError&) {
-    return false;
-  }
-  peer_pushes_.fetch_add(1, std::memory_order_relaxed);
-  peer_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  replica_restores_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -786,9 +717,6 @@ Transport::OpHandle SocketTransport::issue_send(std::uint64_t request,
   // it neither produced nor consumes: that is the star topology's relay tax.
   if (find(meta.from_node) != nullptr)
     relay_bytes_.fetch_add(handle.bytes(), std::memory_order_relaxed);
-  // Buddy replication stays synchronous and best-effort: it rides the buddy's
-  // own channel, so it cannot serialize behind this node's pending queue.
-  replicate(request, meta, slot, tensor);
   return handle;
 }
 

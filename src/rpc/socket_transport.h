@@ -72,16 +72,6 @@ class SocketTransport final : public Transport {
     // Pruned tile workers returned to the shard map after a late set_reconnect
     // (fresh incarnation dialled, kConfig replayed, shard slot restored).
     std::uint64_t readmitted_workers = 0;
-    // Buddy replication: boundary tensors pushed to the buddy node at ship
-    // time (kPutReplica), their encoded bytes, and pushes that failed and were
-    // swallowed (replication is best-effort — a dead buddy never fails the
-    // request, it only degrades failover back to re-seeding).
-    std::uint64_t replica_pushes = 0;
-    std::uint64_t replica_bytes = 0;
-    std::uint64_t replica_failures = 0;
-    // Failover-time deliveries served out of the buddy's replica store
-    // (replica_push): the re-seed round-trips these saved.
-    std::uint64_t replica_restores = 0;
     // Liveness probes sent (kPing) and channels declared dead by the
     // missed-beat threshold before any request send touched them.
     std::uint64_t pings = 0;
@@ -120,8 +110,8 @@ class SocketTransport final : public Transport {
   };
 
   // Observes coordinator-side protocol sends that carry no Transport virtual
-  // of their own (peer handshake legs, buddy replica pushes), so a decorator
-  // like FaultInjectionTransport can count and fault them. Invoked with the
+  // of their own (the peer handshake legs), so a decorator like
+  // FaultInjectionTransport can count and fault them. Invoked with the
   // message kind and the node the frame is sent to (kConnectPeer: the
   // dialling node) immediately before the frame goes out; an exception thrown
   // by the observer propagates exactly like a send failure at that point.
@@ -176,16 +166,6 @@ class SocketTransport final : public Transport {
   void set_reconnect(const std::string& node, ReconnectFn fn) {
     set_reconnect(node, std::move(fn), RetryPolicy());
   }
-
-  // Designates an attached node as the buddy replica holder: every boundary
-  // tensor send() additionally pushes the full envelope to the buddy
-  // (kPutReplica, best-effort), and send_peer() declines so the coordinator
-  // keeps holding payloads at ship time. After a coordinator failover the
-  // standby calls replica_push() to have the buddy deliver the stored bytes
-  // peer-to-peer instead of re-materializing and re-shipping them. Call
-  // before traffic; pass "" to disable.
-  void set_buddy(const std::string& node) { buddy_name_ = node; }
-  const std::string& buddy() const { return buddy_name_; }
 
   // Arms proactive failure detection for every attached channel (tier nodes
   // and tile workers alike). Probes are driven by the Transport base's
@@ -255,13 +235,6 @@ class SocketTransport final : public Transport {
 
   bool send_peer(std::uint64_t request, const runtime::MessageRecord& meta,
                  std::uint64_t slot) override;
-  // Failover-time delivery out of the buddy's replica store: asks the buddy
-  // to push its stored copy of `slot` peer-to-peer to meta.to_node. Returns
-  // false (caller falls back to materialize + send) when no buddy is set,
-  // the buddy never stored the slot (it answers kErrorState naming itself),
-  // or the buddy's own channel is down.
-  bool replica_push(std::uint64_t request, const runtime::MessageRecord& meta,
-                    std::uint64_t slot) override;
 
   // One liveness probe of `node`'s channel, per the HeartbeatPolicy. A busy
   // channel mutex counts as liveness (a real call is in flight); a timeout
@@ -292,10 +265,8 @@ class SocketTransport final : public Transport {
     return {frames_sent_.load(),   payload_bytes_sent_.load(), relay_bytes_.load(),
             payload_bytes_fetched_.load(), peer_pushes_.load(), peer_bytes_.load(),
             reconnects_.load(),    reopens_.load(),            detached_workers_.load(),
-            readmitted_workers_.load(),    replica_pushes_.load(),
-            replica_bytes_.load(), replica_failures_.load(),   replica_restores_.load(),
-            pings_.load(),         heartbeat_deaths_.load(),   pipelined_sends_.load(),
-            config_bytes_sent_.load()};
+            readmitted_workers_.load(),    pings_.load(),      heartbeat_deaths_.load(),
+            pipelined_sends_.load(),       config_bytes_sent_.load()};
   }
 
  private:
@@ -400,9 +371,6 @@ class SocketTransport final : public Transport {
   void readmit(Node& node);
   std::uint64_t push_peer(Node& from, std::uint64_t request,
                           const runtime::MessageRecord& meta, std::uint64_t slot);
-  // Best-effort kPutReplica of a just-shipped boundary tensor to the buddy.
-  void replicate(std::uint64_t request, const runtime::MessageRecord& meta,
-                 std::uint64_t slot, const dnn::Tensor& tensor);
   void observe(MsgKind kind, const std::string& node) {
     if (op_observer_) op_observer_(kind, node);
   }
@@ -415,7 +383,6 @@ class SocketTransport final : public Transport {
   // Per-node dial-address overrides for the peer handshake (shard_mutex_).
   std::map<std::string, std::string> advertised_addresses_;
   bool peers_enabled_ = false;
-  std::string buddy_name_;
   std::uint64_t epoch_ = 0;
   bool elide_weights_ = false;
   // rpc::weights_hash of the last configure() — what a kBundleMismatch reply
@@ -435,10 +402,6 @@ class SocketTransport final : public Transport {
   std::atomic<std::uint64_t> reopens_{0};
   std::atomic<std::uint64_t> detached_workers_{0};
   std::atomic<std::uint64_t> readmitted_workers_{0};
-  std::atomic<std::uint64_t> replica_pushes_{0};
-  std::atomic<std::uint64_t> replica_bytes_{0};
-  std::atomic<std::uint64_t> replica_failures_{0};
-  std::atomic<std::uint64_t> replica_restores_{0};
   std::atomic<std::uint64_t> pings_{0};
   std::atomic<std::uint64_t> heartbeat_deaths_{0};
   std::atomic<std::uint64_t> pipelined_sends_{0};

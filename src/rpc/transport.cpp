@@ -100,10 +100,6 @@ void Transport::open_request_as(std::uint64_t) {
                        "' holds no per-node request state to resume");
 }
 
-bool Transport::replica_push(std::uint64_t, const runtime::MessageRecord&, std::uint64_t) {
-  return false;
-}
-
 void Transport::ping(const std::string&) {}
 
 std::vector<std::string> Transport::heartbeat_targets() { return {}; }

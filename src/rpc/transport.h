@@ -311,17 +311,12 @@ class Transport {
   virtual bool send_peer(std::uint64_t request, const runtime::MessageRecord& meta,
                          std::uint64_t slot);
 
-  // --- Buddy replication (coordinator failover) -----------------------------
-  //
-  // Attempts to deliver meta's tensor to meta.to_node out of the *buddy*
-  // node's replica store (boundary tensors pushed there at ship time via
-  // kPutReplica) over a peer channel — the failed-over coordinator never
-  // re-materialises the payload. Returns true when the buddy held the slot
-  // and pushed it; false when no buddy is configured or the buddy never saw
-  // this slot (replication is best-effort), in which case the caller falls
-  // back to the relay path. The base implementation returns false.
-  virtual bool replica_push(std::uint64_t request, const runtime::MessageRecord& meta,
-                            std::uint64_t slot);
+  // Retired: the buddy replica store it delivered from is gone, and nothing
+  // calls it (a taken-over request re-delivers over peer channels). It stays,
+  // always false, only while bench/e2e's TimedTransport still overrides it.
+  virtual bool replica_push(std::uint64_t, const runtime::MessageRecord&, std::uint64_t) {
+    return false;
+  }
 
   // --- Proactive failure detection (heartbeats) -----------------------------
   //

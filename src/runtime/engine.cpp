@@ -358,10 +358,9 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
   std::vector<std::array<bool, 3>> in_flight(state.shipped.size(), {false, false, false});
 
   // Ensures `producer`'s tensor is present at `to`, shipping it if not, by the
-  // cheapest path: the buddy's replica store (restored requests only), a peer
-  // push, else a relay through the coordinator. Returns false when the pass
-  // must end here: the relay's source is still on a remote node, so its fetch
-  // was issued instead.
+  // cheapest path: a peer push, else a relay through the coordinator. Returns
+  // false when the pass must end here: the relay's source is still on a
+  // remote node, so its fetch was issued instead.
   //
   // Recording and shipping are tracked separately: the transcript message is
   // recorded exactly once (`sent`), but the payload counts as moved
@@ -394,16 +393,11 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
       record(state.result, meta);
     };
 
-    // A restored request re-delivering its interrupted tier tries the buddy's
-    // replica store first: the buddy pushes its stored copy peer-to-peer and
-    // the standby coordinator never touches the payload. (Speculative: the
-    // dead primary may not have replicated this slot.) Then a peer channel,
-    // which moves the bytes producer -> consumer directly, so the coordinator
-    // never materialises the tensor at all (the raw input is peer-pushable
-    // too — it was seeded into the device node). Both are synchronous
-    // round-trips on other channels (the buddy's, the producer's).
-    if ((state.restored && transport_->replica_push(state.rpc_request, meta, slot)) ||
-        transport_->send_peer(state.rpc_request, meta, slot)) {
+    // A peer channel moves the bytes producer -> consumer directly, so the
+    // coordinator never materialises the tensor at all (the raw input is
+    // peer-pushable too — it was seeded into the device node). The push is a
+    // synchronous round-trip on the producer's channel.
+    if (transport_->send_peer(state.rpc_request, meta, slot)) {
       record_once();
       state.shipped[slot][to_idx] = true;
       return true;
@@ -428,7 +422,7 @@ bool OnlineEngine::walk_tier(RequestState& state, core::Tier tier,
           [this, &state, slot, to_idx, source_bytes](rpc::Transport::OpHandle&) {
             state.shipped[slot][to_idx] = true;
             // Failover accounting: what a restored request re-ships through
-            // the coordinator is the cost buddy replication exists to avoid.
+            // the coordinator is the cost peer channels exist to avoid.
             if (state.restored)
               recovery_bytes_.fetch_add(source_bytes, std::memory_order_relaxed);
           });

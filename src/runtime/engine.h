@@ -364,10 +364,9 @@ class OnlineEngine {
     std::vector<std::array<bool, 2>> vsm_recorded;
     // Faults survived so far (bounded by kMaxRecoveryAttempts).
     std::size_t recovery_attempts = 0;
-    // True while a restore()d request re-runs its interrupted tier: unshipped
-    // boundaries first try the buddy's replica store (Transport::replica_push)
-    // and re-delivered payload bytes count into Stats::recovery_bytes. Cleared
-    // when a tier completes.
+    // True while a restore()d request re-runs its interrupted tier: payload
+    // bytes it re-delivers through the coordinator count into
+    // Stats::recovery_bytes. Cleared when a tier completes.
     bool restored = false;
     // Transport request id + teardown guard.
     std::uint64_t rpc_request = 0;

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/plan_io.h"
 #include "rpc/wire.h"
 
 namespace d3::runtime {
@@ -26,6 +25,30 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
 }
 
 }  // namespace
+
+std::shared_ptr<rpc::SocketTransport> dial_deployment(const AddressBook& book,
+                                                      std::uint64_t epoch, bool elide_weights,
+                                                      const dnn::Network& net,
+                                                      const exec::WeightStore& weights,
+                                                      const core::SerializablePlan& plan) {
+  auto transport = std::make_shared<rpc::SocketTransport>();
+  transport->set_epoch(epoch);
+  transport->set_elide_weights(elide_weights);
+  std::size_t tile_workers = 0;
+  for (const Endpoint& worker : book.workers()) {
+    rpc::Socket channel = rpc::tcp_connect(worker.host, worker.port);
+    if (worker.name == "device0" || worker.name == "edge0" || worker.name == "cloud0") {
+      transport->add_node(worker.name, std::move(channel));
+    } else {
+      transport->add_tile_worker(std::move(channel));
+      ++tile_workers;
+    }
+  }
+  transport->configure(net.name(), net, weights, core::serialize_plan_binary(plan),
+                       tile_workers);
+  transport->connect_peers();
+  return transport;
+}
 
 // --- CoordinatorBeacon -------------------------------------------------------
 
@@ -262,25 +285,9 @@ void StandbyCoordinator::promote() {
   const std::uint64_t new_epoch =
       std::max(observed_epoch_.load(std::memory_order_relaxed), options_.epoch_hint) + 1;
 
-  auto transport = std::make_shared<rpc::SocketTransport>();
-  transport->set_epoch(new_epoch);
-  transport->set_elide_weights(options_.elide_weights);
-  std::size_t tile_workers = 0;
-  for (const Endpoint& worker : options_.book.workers()) {
-    rpc::Socket channel = rpc::tcp_connect(worker.host, worker.port);
-    if (worker.name == "device0" || worker.name == "edge0" || worker.name == "cloud0") {
-      transport->add_node(worker.name, std::move(channel));
-    } else {
-      // Extra entries are the VSM edge pool, attached in book order so tile
-      // sharding lands exactly where the dead coordinator put it.
-      transport->add_tile_worker(std::move(channel));
-      ++tile_workers;
-    }
-  }
-  const core::SerializablePlan plan{net_.name(), assignment_, vsm_};
-  transport->configure(net_.name(), net_, weights_, core::serialize_plan_binary(plan),
-                       tile_workers);
-  if (!options_.buddy.empty()) transport->set_buddy(options_.buddy);
+  std::shared_ptr<rpc::SocketTransport> transport =
+      dial_deployment(options_.book, new_epoch, options_.elide_weights, net_, weights_,
+                      core::SerializablePlan{net_.name(), assignment_, vsm_});
 
   const std::vector<Snapshot> live = RequestJournal::load(options_.journal_path);
   OnlineEngine::Options engine_options;

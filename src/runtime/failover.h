@@ -15,10 +15,10 @@
 //
 //       1. pick epoch = max(every epoch observed from the beacon,
 //          options.epoch_hint) + 1 — strictly above the dead incarnation;
-//       2. dial every worker in the address book on a fresh SocketTransport
-//          stamped with that epoch, and replay the (idempotent) kConfig
-//          bundle — this fences the previous coordinator: from here on the
-//          workers answer every frame from the lower epoch with kFenced;
+//       2. dial the deployment at that epoch (dial_deployment): replaying
+//          the (idempotent) kConfig bundle fences the previous coordinator —
+//          from here on the workers answer every frame from the lower epoch
+//          with kFenced — and the peer channels come up;
 //       3. load the request journal (the shared path, or the local mirror
 //          kJournalSync kept fresh) and restore() every live snapshot on a
 //          fresh OnlineEngine, stepping each to completion.
@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/plan_io.h"
 #include "rpc/socket.h"
 #include "rpc/socket_transport.h"
 #include "runtime/address_book.h"
@@ -60,6 +61,20 @@ namespace d3::runtime {
 // tests can pin the atomicity contract directly. Throws rpc::SocketError.
 void mirror_file_atomically(const std::string& path,
                             const std::vector<std::uint8_t>& bytes);
+
+// Boots a coordinator's transport over the address book: dials every
+// [workers] entry (device0/edge0/cloud0 as tier nodes, every other entry as a
+// VSM tile worker, in book order, so tile sharding is a function of the book),
+// stamps fencing epoch `epoch`, sends each node its deployment bundle
+// (weights elided with `elide_weights`) and links the tier nodes' peer
+// channels, so every boundary — a taken-over request's included — moves
+// producer -> consumer without crossing the coordinator. The active
+// d3_coordinator and a promoting StandbyCoordinator both boot through here.
+std::shared_ptr<rpc::SocketTransport> dial_deployment(const AddressBook& book,
+                                                      std::uint64_t epoch, bool elide_weights,
+                                                      const dnn::Network& net,
+                                                      const exec::WeightStore& weights,
+                                                      const core::SerializablePlan& plan);
 
 // Liveness + journal endpoint of the active coordinator. Serves concurrently
 // connected standbys from one background thread; the destructor stops it.
@@ -109,8 +124,6 @@ class StandbyCoordinator {
     std::chrono::milliseconds probe_interval{50};
     std::chrono::milliseconds probe_timeout{1000};
     int miss_threshold = 3;
-    // Buddy replica holder to arm on the promoted transport ("" = none).
-    std::string buddy;
     // Elide the weight shards from the promotion redials' kConfig (the
     // workers were booted from d3c bundles): each bundle names only the
     // weights hash. A hash disagreement makes promote() throw

@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -118,6 +120,12 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 }
 
 std::size_t ThreadPool::hardware_threads() {
+  // The CPUs this thread may run on, not the host's: a process started under
+  // taskset (or a cpuset) gets a pool that fits its mask.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+    return static_cast<std::size_t>(CPU_COUNT(&mask));
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }

@@ -48,8 +48,8 @@ class ThreadPool {
   // caller after all indices finish; the rest are dropped.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  // Number of hardware threads, with a floor of 1 (hardware_concurrency may
-  // report 0 on exotic platforms).
+  // Number of CPUs in the calling thread's affinity mask; the host's hardware
+  // threads if the mask cannot be read. Never below 1.
   static std::size_t hardware_threads();
 
  private:

@@ -3,12 +3,13 @@
 // injection), and a standby coordinator in the parent process restores the
 // request from the write-ahead journal against the *same* surviving listen-mode
 // workers — the resumed output must be bitwise-identical to exec::Executor and
-// the transcript byte-identical to a no-failure run. Buddy-replicated
-// boundaries must make that failover strictly cheaper (recovery_bytes) than
-// the re-seed path. Plus the proactive-detection legs: the serving reactor's
-// idle heartbeats declare a silently SIGKILLed worker dead with no request in
-// flight, the missed-beat threshold catches a SIGSTOPped (wedged, not dead)
-// worker, and a flapping tile worker is readmitted without double-attachment.
+// the transcript byte-identical to a no-failure run. Peer channels must make
+// that failover strictly cheaper (recovery_bytes) than the star's re-seed
+// path: no payload byte crosses the standby. Plus the proactive-detection
+// legs: the serving reactor's idle heartbeats declare a silently SIGKILLed
+// worker dead with no request in flight, the missed-beat threshold catches a
+// SIGSTOPped (wedged, not dead) worker, and a flapping tile worker is
+// readmitted without double-attachment.
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -94,12 +95,13 @@ struct FailoverOutcome {
 };
 
 // Forks a coordinator that SIGKILLs itself right before the second edge
-// run_layer — the device->edge boundary has shipped (and replicated, with a
-// buddy), but the snapshot on disk is the end-of-device-tier one, so the
-// standby re-runs the whole edge tier including the boundary delivery. The
-// standby in the parent process then restores from the journal and finishes
-// the request against the same worker incarnations.
-void run_failover(bool buddy, const char* journal_name, FailoverOutcome& out) {
+// run_layer — the device->edge boundary has shipped, but the snapshot on disk
+// is the end-of-device-tier one, so the standby re-runs the whole edge tier
+// including the boundary delivery. The standby in the parent process then
+// restores from the journal and finishes the request against the same worker
+// incarnations. With `peers`, both coordinators link the workers' peer
+// channels; without, both run a star.
+void run_failover(bool peers, const char* journal_name, FailoverOutcome& out) {
   const dnn::Network net = dnn::zoo::tiny_chain();
   const exec::WeightStore weights = exec::WeightStore::random_for(net, 111);
   util::Rng rng(112);
@@ -109,8 +111,8 @@ void run_failover(bool buddy, const char* journal_name, FailoverOutcome& out) {
   const core::SerializablePlan plan{net.name(), assignment, std::nullopt};
   const std::string journal_path = temp_journal(journal_name);
 
-  // Workers listen and outlive any one coordinator: per-request slots (and the
-  // buddy's replica store) must survive the SIGKILL below.
+  // Workers listen and outlive any one coordinator: per-request slots must
+  // survive the SIGKILL below.
   const rpc::ListenWorkerProcess device(D3_NODE_BINARY);
   const rpc::ListenWorkerProcess edge(D3_NODE_BINARY);
   const rpc::ListenWorkerProcess cloud(D3_NODE_BINARY);
@@ -120,7 +122,7 @@ void run_failover(bool buddy, const char* journal_name, FailoverOutcome& out) {
     transport.add_node("edge0", edge.dial());
     transport.add_node("cloud0", cloud.dial());
     transport.configure(net.name(), net, weights, core::serialize_plan_binary(plan), 0);
-    if (buddy) transport.set_buddy("cloud0");
+    if (peers) transport.connect_peers();
   };
 
   const pid_t pid = ::fork();
@@ -153,7 +155,7 @@ void run_failover(bool buddy, const char* journal_name, FailoverOutcome& out) {
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
   // The standby: fresh channels to the same workers, the byte-identical config
-  // bundle (idempotent on the workers — request slots and replicas survive it),
+  // bundle (idempotent on the workers — request slots survive it),
   // and the dead primary's journal.
   auto standby = std::make_shared<rpc::SocketTransport>();
   dial_all(*standby);
@@ -186,24 +188,23 @@ void run_failover(bool buddy, const char* journal_name, FailoverOutcome& out) {
 }
 
 TEST(CoordinatorFailover, StandbyResumesSigkilledRequestBitwiseIdentically) {
-  // Without a buddy the standby re-materialises the unshipped boundary from
-  // the device worker and re-ships it: the PR-5-style re-seed cost.
+  // On a star the standby re-materialises the unshipped boundary from the
+  // device worker and re-ships it: the re-seed cost.
   FailoverOutcome reseed;
-  run_failover(/*buddy=*/false, "failover_reseed.d3j", reseed);
+  run_failover(/*peers=*/false, "failover_reseed.d3j", reseed);
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_GT(reseed.recovery_bytes, 0u);
-  EXPECT_EQ(reseed.standby.replica_restores, 0u);
 
-  // With cloud0 as the buddy, the ship-time kPutReplica copy serves the
-  // boundary peer-to-peer at failover: zero re-seed bytes move through the
-  // standby.
-  FailoverOutcome replicated;
-  run_failover(/*buddy=*/true, "failover_buddy.d3j", replicated);
+  // With peer channels the producers still hold their slots and push each
+  // boundary worker -> worker: no payload byte moves through the standby.
+  FailoverOutcome peered;
+  run_failover(/*peers=*/true, "failover_peers.d3j", peered);
   if (::testing::Test::HasFatalFailure()) return;
-  EXPECT_EQ(replicated.recovery_bytes, 0u);
-  EXPECT_GE(replicated.standby.replica_restores, 1u);
-  EXPECT_GE(replicated.standby.peer_pushes, 1u);
-  EXPECT_LT(replicated.recovery_bytes, reseed.recovery_bytes);
+  EXPECT_EQ(peered.recovery_bytes, 0u);
+  EXPECT_EQ(peered.standby.payload_bytes_sent, 0u);
+  EXPECT_EQ(peered.standby.relay_bytes, 0u);
+  EXPECT_GE(peered.standby.peer_pushes, 1u);
+  EXPECT_LT(peered.recovery_bytes, reseed.recovery_bytes);
 }
 
 // --- Proactive failure detection ---------------------------------------------

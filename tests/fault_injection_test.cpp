@@ -746,7 +746,7 @@ TEST(FaultInjection, ConfigReplayFailingOnceStillRecovers) {
   EXPECT_GE(engine.stats().recoveries, 1u);
 }
 
-// --- Peer-handshake kill points, heartbeat probes, buddy replication ---------
+// --- Peer-handshake kill points, heartbeat probes ----------------------------
 
 struct HandshakeKillPoint {
   const char* label;
@@ -847,40 +847,6 @@ TEST(FaultInjection, HeartbeatKillIsDetectedOnFirstProbeWithNoSendInFlight) {
   expect_identical(result.output, reference);
   expect_same_transcript(result, OnlineEngine(c.net, weights, c.assignment).infer(frame));
   EXPECT_EQ(engine.stats().recoveries, 0u);  // the probe already paid for it
-}
-
-TEST(FaultInjection, BuddyDeathMakesReplicationBestEffort) {
-  // The buddy dies right before the first kPutReplica: replication is
-  // best-effort by contract, so the request in flight must complete bitwise
-  // identical anyway — the only trace is a replica_failures tick (and the
-  // recovery the cloud tier later needs, since the buddy is also cloud0).
-  const ThreeTierCase c;
-  const exec::WeightStore weights = exec::WeightStore::random_for(c.net, 109);
-  util::Rng rng(110);
-  const dnn::Tensor frame = exec::random_tensor(c.net.input_shape(), rng);
-  const dnn::Tensor reference = exec::Executor(c.net, weights).run(frame);
-
-  FaultCluster cluster;
-  for (const char* node : {"device0", "edge0", "cloud0"}) {
-    cluster.attach(node);
-    cluster.enable_respawn(node);
-  }
-  cluster.configure(c.net, weights, c.plan, 0);
-  cluster.socket->set_buddy("cloud0");
-  cluster.faults->schedule(Fault{Op::kPutReplica, "cloud0", 1, Action::kKill, {}, ""});
-
-  OnlineEngine::Options options;
-  options.transport = cluster.faults;
-  const OnlineEngine engine(c.net, weights, c.assignment, std::nullopt, options);
-
-  const InferenceResult result = engine.infer(frame);
-  expect_identical(result.output, reference);
-  expect_same_transcript(result, OnlineEngine(c.net, weights, c.assignment).infer(frame));
-  EXPECT_EQ(cluster.faults->stats().kills, 1u);
-  EXPECT_GE(cluster.faults->op_count(Op::kPutReplica), 1u);
-  EXPECT_EQ(cluster.socket->stats().replica_failures, 1u);
-  EXPECT_EQ(cluster.socket->stats().replica_pushes, 0u);
-  EXPECT_GE(cluster.socket->stats().reconnects, 1u);
 }
 
 }  // namespace

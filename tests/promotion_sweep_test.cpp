@@ -11,7 +11,9 @@
 //     a failure,
 //   * exactly one coordinator holds the workers — a transport still carrying
 //     the dead incarnation's epoch gets rpc::Fenced on every attempt while
-//     the promoted one keeps inferring.
+//     the promoted one keeps inferring,
+//   * the takeover moves no payload byte through the standby: it links peer
+//     channels, and the workers still hold every boundary it needs.
 //
 // Plus the kJournalSync leg: a standby on a *different* filesystem path
 // mirrors the journal over the beacon wire and promotes from its local copy.
@@ -34,6 +36,7 @@
 #include "exec/executor.h"
 #include "rpc/fault_injection.h"
 #include "rpc/socket_transport.h"
+#include "rpc/wire.h"
 #include "runtime/address_book.h"
 #include "runtime/engine.h"
 #include "runtime/failover.h"
@@ -219,6 +222,17 @@ TEST_P(PromotionSweep, StandbyPromotesUnattendedAtEveryCrashPoint) {
   }
   // Resumption (or the no-op) journalled its finish: nothing is left live.
   EXPECT_TRUE(RequestJournal::load(journal_path).empty());
+
+  // The doomed primary ran a star; the promoted standby linked peer channels,
+  // so whatever the resumed request still needed moved worker -> worker: the
+  // standby sent and relayed no payload byte, re-moved nothing, and fetched
+  // only each resumed output.
+  const rpc::SocketTransport::Stats takeover = standby.transport().stats();
+  EXPECT_EQ(takeover.payload_bytes_sent, 0u);
+  EXPECT_EQ(takeover.relay_bytes, 0u);
+  EXPECT_EQ(standby.engine().stats().recovery_bytes, 0u);
+  EXPECT_EQ(takeover.payload_bytes_fetched,
+            rpc::encode_tensor(reference).size() * standby.resumed().size());
 
   // Fencing: the dead incarnation's epoch no longer opens any door. A fresh
   // transport claiming epoch 1 is turned away at kConfig...

@@ -408,9 +408,8 @@ TEST_P(FailoverFuzz, StandbyPromotionConvergesFromRandomKillPoints) {
   EXPECT_TRUE(RequestJournal::load(journal_path).empty());
 
   // Recovery-cost pin: with the already-delivered boundary tensors still
-  // live on the workers (the in-process analogue of buddy replicas), the
-  // promotion moves strictly fewer bytes than a full replay would — raw
-  // input plus every boundary message re-shipped.
+  // live on the workers, the promotion moves strictly fewer bytes than a
+  // full replay would — raw input plus every boundary message re-shipped.
   std::uint64_t full_replay_bytes = static_cast<std::uint64_t>(net.input_shape().bytes());
   for (const MessageRecord& m : expected.messages)
     full_replay_bytes += static_cast<std::uint64_t>(m.bytes);

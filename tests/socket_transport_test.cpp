@@ -712,5 +712,16 @@ TEST(SocketTransport, WorkerRejectsGarbageWithClearError) {
                rpc::TransportError);
 }
 
+TEST(SocketTransport, WorkerAnswersRetiredKind15WithError) {
+  // Kind 15 was the buddy replica store's put. It is retired: a worker
+  // answers it like any unknown kind, with kError, and keeps serving.
+  rpc::WorkerProcess worker(D3_NODE_BINARY);
+  const rpc::Socket socket = worker.take_socket();
+  rpc::write_frame(socket.fd(), static_cast<rpc::MsgKind>(15), {});
+  EXPECT_EQ(rpc::read_frame(socket.fd()).kind, rpc::MsgKind::kError);
+  rpc::write_frame(socket.fd(), rpc::MsgKind::kPing, {});
+  EXPECT_EQ(rpc::read_frame(socket.fd()).kind, rpc::MsgKind::kPong);
+}
+
 }  // namespace
 }  // namespace d3::runtime

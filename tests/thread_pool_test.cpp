@@ -1,6 +1,9 @@
 // Unit tests of the runtime worker pool: full coverage of every index, safety
 // under concurrent parallel_for callers (concurrent infer() calls sharing
-// one engine), no deadlock on a single-thread pool, and exception propagation.
+// one engine), no deadlock on a single-thread pool, exception propagation, and
+// a hardware width that follows the affinity mask.
+#include <sched.h>
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -93,6 +96,23 @@ TEST(ThreadPool, SubmitDrainsBeforeDestruction) {
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+}
+
+TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask) {
+  // A worker started under taskset sizes its pool to its mask, not the host.
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(ThreadPool::hardware_threads(), static_cast<std::size_t>(CPU_COUNT(&original)));
+
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool::hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 }  // namespace

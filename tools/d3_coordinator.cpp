@@ -7,11 +7,12 @@
 //
 //   d3_coordinator --active --book <file> --model <zoo-name> --plan <file>
 //                  --journal <file> [--epoch <n>] [--seed <n>]
-//                  [--requests <n>] [--buddy <node>]
+//                  [--requests <n>] [--elide-weights]
 //
 // the active coordinator: binds the [coordinator] beacon endpoint, dials
-// every [workers] entry at fencing epoch <n> (default 1), journals each
-// request, runs <n> seeded random inferences (default 1) and prints one
+// every [workers] entry at fencing epoch <n> (default 1) and links the tier
+// nodes' peer channels (runtime::dial_deployment), journals each request,
+// runs <n> seeded random inferences (default 1) and prints one
 // "REQUEST <id> FNV1A <hash>" line per completed output. The beacon answers
 // standby kPing probes (kPong + epoch) and kJournalSync pulls for the whole
 // run; killing this process mid-request is exactly the failure the standby
@@ -19,12 +20,13 @@
 //
 //   d3_coordinator --standby --book <file> --model <zoo-name> --plan <file>
 //                  --journal <file> [--epoch-hint <n>] [--seed <n>]
-//                  [--mirror] [--buddy <node>]
+//                  [--mirror] [--elide-weights]
 //
 // a standby: monitors the beacon and, once the miss threshold trips, promotes
-// itself unattended — fences the dead incarnation out of the workers, loads
-// the journal (the shared path, or the --mirror copy it kept fresh over
-// kJournalSync), resumes every mid-flight request, and prints the same
+// itself unattended — dials the workers the same way at a higher epoch,
+// which fences the dead incarnation out, loads the journal (the shared path,
+// or the --mirror copy it kept fresh over kJournalSync), resumes every
+// mid-flight request over the peer channels, and prints the same
 // "REQUEST <id> FNV1A <hash>" lines the active would have. The seeds and plan
 // must match the active's: outputs are bitwise-deterministic, so matching
 // hash lines across the two processes *are* the lossless-failover check.
@@ -42,7 +44,6 @@
 #include "core/plan_io.h"
 #include "dnn/model_zoo.h"
 #include "exec/executor.h"
-#include "rpc/socket_transport.h"
 #include "runtime/address_book.h"
 #include "runtime/engine.h"
 #include "runtime/failover.h"
@@ -78,11 +79,9 @@ int main(int argc, char** argv) {
   const auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s --active  --book <file> --model <zoo-name> --plan <file> --journal "
-                 "<file> [--epoch <n>] [--seed <n>] [--requests <n>] [--buddy <node>] "
-                 "[--elide-weights]\n"
+                 "<file> [--epoch <n>] [--seed <n>] [--requests <n>] [--elide-weights]\n"
                  "       %s --standby --book <file> --model <zoo-name> --plan <file> --journal "
-                 "<file> [--epoch-hint <n>] [--seed <n>] [--mirror] [--buddy <node>] "
-                 "[--elide-weights]\n",
+                 "<file> [--epoch-hint <n>] [--seed <n>] [--mirror] [--elide-weights]\n",
                  argv[0], argv[0]);
     return 2;
   };
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
     const d3::core::SerializablePlan plan =
         d3::core::parse_plan(read_text_file(flags["--plan"]), net);
     const std::string journal_path = flags["--journal"];
-    const std::string buddy = flags.count("--buddy") ? flags["--buddy"] : "";
 
     if (mode == "--active") {
       if (!book.coordinator().has_value())
@@ -132,23 +130,9 @@ int main(int argc, char** argv) {
       const d3::runtime::CoordinatorBeacon beacon(epoch, journal_path,
                                                   book.coordinator()->host,
                                                   book.coordinator()->port);
-      auto transport = std::make_shared<d3::rpc::SocketTransport>();
-      transport->set_epoch(epoch);
-      transport->set_elide_weights(elide_weights);
-      std::size_t tile_workers = 0;
-      for (const d3::runtime::Endpoint& worker : book.workers()) {
-        d3::rpc::Socket channel = d3::rpc::tcp_connect(worker.host, worker.port);
-        if (worker.name == "device0" || worker.name == "edge0" || worker.name == "cloud0")
-          transport->add_node(worker.name, std::move(channel));
-        else
-          transport->add_tile_worker(std::move(channel)), ++tile_workers;
-      }
-      transport->configure(net.name(), net, weights,
-                           d3::core::serialize_plan_binary(plan), tile_workers);
-      if (!buddy.empty()) transport->set_buddy(buddy);
-
       d3::runtime::OnlineEngine::Options options;
-      options.transport = transport;
+      options.transport =
+          d3::runtime::dial_deployment(book, epoch, elide_weights, net, weights, plan);
       options.journal = std::make_shared<d3::runtime::RequestJournal>(journal_path);
       const d3::runtime::OnlineEngine engine(net, weights, plan.assignment, plan.vsm, options);
 
@@ -170,7 +154,6 @@ int main(int argc, char** argv) {
     options.journal_path = journal_path;
     options.mirror_journal = mirror;
     options.elide_weights = elide_weights;
-    options.buddy = buddy;
     options.epoch_hint =
         flags.count("--epoch-hint") ? std::stoull(flags["--epoch-hint"]) : 0;
     d3::runtime::StandbyCoordinator standby(net, weights, plan.assignment, plan.vsm,

@@ -15,11 +15,11 @@
 // binds <port> (0 = ephemeral), prints "PORT <port>" on stdout, and serves
 // coordinator connections accepted from it — concurrently, with one
 // persistent node state across them. A coordinator that dies is survived: its
-// successor dials the same port, replays kConfig (idempotent) and finds the
-// per-request slots and buddy replicas intact. When two coordinators are
-// connected at once (a failover race), the fencing epoch in kConfig decides:
-// the higher incarnation owns the node and every frame from the lower one is
-// answered kFenced. This is the worker side of coordinator failover
+// successor dials the same port, replays kConfig (idempotent), re-links the
+// peer channels and finds the per-request slots intact. When two coordinators
+// are connected at once (a failover race), the fencing epoch in kConfig
+// decides: the higher incarnation owns the node and every frame from the lower
+// one is answered kFenced. This is the worker side of coordinator failover
 // (rpc::ListenWorkerProcess spawns it in tests).
 //
 //   d3_node --book <file> <name> [--crash-after <frames>]
